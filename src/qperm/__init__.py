@@ -29,8 +29,7 @@ from .partitions import (
     noncrossing_certificate,
 )
 from .weingarten import (
-    GramTable,
-    WeingartenTable,
+    NCTable,
     dk_value,
     gram,
     haar_moment,
@@ -69,18 +68,17 @@ __all__ = [
     "CumulantSpec",
     "DimensionError",
     "DomainError",
-    "GramTable",
     "InvariantViolation",
     "K_MAX",
     "MagicUnitary",
     "MatrixProbabilitySpace",
     "MomentFunctional",
+    "NCTable",
     "NonCrossingCertificate",
     "QpermError",
     "SetPartition",
     "SingularGramError",
     "UrnModel",
-    "WeingartenTable",
     "all_permutation_magic_unitaries",
     "block_sum_identity",
     "cesaro_variance",

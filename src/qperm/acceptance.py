@@ -376,7 +376,7 @@ def criterion_10_definetti_gap(k_hi=4, ns=range(4, 25)):
                 for tau in enumerate_partitions(k):
                     if tau.block_count() > n:
                         continue
-                    j_word = _word_of_kernel(tau)
+                    j_word = tau.to_word()
                     try:
                         report = definetti_gap(model, j_word)
                     except InvariantViolation as exc:
@@ -403,14 +403,6 @@ def criterion_10_definetti_gap(k_hi=4, ns=range(4, 25)):
         "gap*n bounded over the sweep (finite-sweep substitute for the universal constant)",
         start,
     )
-
-
-def _word_of_kernel(tau):
-    word = [0] * tau.ground_size
-    for label, block in enumerate(tau.blocks, start=1):
-        for x in block:
-            word[x - 1] = label
-    return tuple(word)
 
 
 def criterion_11_classical_quantum_separation(theta=math.pi / 5, degree=4):

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BoundError, DimensionError, DomainError
-from .partitions import enumerate_nc, is_noncrossing, kernel, leq, mobius_nc
+from .partitions import _peel, enumerate_nc, is_noncrossing, kernel, leq, mobius_nc
 from .weingarten import parse_rational, rational_str
 
 
@@ -148,30 +148,18 @@ def nested_eval(pi, block_fn, operands, multiply=operator.mul, choose_interval=N
         raise DimensionError(
             f"{len(ops)} operands for ground size {pi.ground_size}"
         )
-    if not is_noncrossing(pi):
-        raise DomainError(f"partition is not non-crossing: {pi}")
-    pi_blocks = list(pi.blocks)
     values = dict(enumerate(ops, start=1))
-    remaining = list(range(1, pi.ground_size + 1))
-    while True:
-        pos = {x: i for i, x in enumerate(remaining)}
-        intervals = [
-            b for b in pi_blocks if pos[b[-1]] - pos[b[0]] == len(b) - 1
-        ]
-        block = intervals[0] if choose_interval is None else choose_interval(intervals)
+    for step in _peel(pi, choose_interval):
+        if step is None:
+            raise DomainError(f"partition is not non-crossing: {pi}")
+        block, before, after = step
         result = block_fn(tuple(values[x] for x in block))
-        if len(pi_blocks) == 1:
-            return result
-        pi_blocks.remove(block)
-        dead = set(block)
-        lo = pos[block[0]]
-        if lo > 0:
-            prev = remaining[lo - 1]
-            values[prev] = multiply(values[prev], result)
+        if before is not None:
+            values[before] = multiply(values[before], result)
+        elif after is not None:
+            values[after] = multiply(result, values[after])
         else:
-            succ = remaining[pos[block[-1]] + 1]
-            values[succ] = multiply(result, values[succ])
-        remaining = [x for x in remaining if x not in dead]
+            return result
 
 
 class _Leg:
@@ -200,15 +188,12 @@ def _matrix_algebra(d):
     return one, operator.matmul, scale
 
 
-def _spec_sum(spec, word, admissible, algebra=None):
-    """Sum of nested block-value products over a set of NC partitions."""
-    word = tuple(word)
-    k = len(word)
-    if k > spec.k_max:
-        raise BoundError(f"degree {k} exceeds k_max={spec.k_max}")
-    d = spec.matrix_dim()
-    if algebra is None:
-        algebra = _matrix_algebra(d) if d else _scalar_algebra()
+def _leg_evaluator(source, algebra):
+    """Nested evaluation of a letter word at a partition, as a function
+    (pi, word) -> value: each block's value is `source.value` of its letters,
+    scaled by the ordered product of the algebra coefficients that earlier
+    blocks left on its legs.  `source` is a CumulantSpec or a MomentFunctional;
+    `algebra` is a (one, mul, scale) triple."""
     one, mul, scale = algebra
 
     def absorb(a, b):
@@ -220,12 +205,26 @@ def _spec_sum(spec, word, admissible, algebra=None):
         coeff = one
         for leg in window:
             coeff = mul(mul(coeff, leg.left), leg.right)
-        return scale(coeff, spec.value(tuple(leg.letter for leg in window)))
+        return scale(coeff, source.value(tuple(leg.letter for leg in window)))
 
+    def evaluate(pi, word):
+        operands = [_Leg(one, s, one) for s in word]
+        return nested_eval(pi, block_value, operands, multiply=absorb)
+
+    return evaluate
+
+
+def _spec_sum(spec, word, admissible):
+    """Sum of nested block-value products over a set of NC partitions."""
+    word = tuple(word)
+    k = len(word)
+    if k > spec.k_max:
+        raise BoundError(f"degree {k} exceeds k_max={spec.k_max}")
+    d = spec.matrix_dim()
+    evaluate = _leg_evaluator(spec, _matrix_algebra(d) if d else _scalar_algebra())
     total = None
     for pi in admissible:
-        operands = [_Leg(one, s, one) for s in word]
-        term = nested_eval(pi, block_value, operands, multiply=absorb)
+        term = evaluate(pi, word)
         total = term if total is None else total + term
     if total is None:
         return Fraction(0) if d is None else np.zeros((d, d), dtype=complex)
@@ -244,21 +243,7 @@ def moment_nested(mf, pi, word):
         raise DimensionError(
             f"word length {len(word)} differs from ground size {pi.ground_size}"
         )
-    one, mul, scale = _scalar_algebra()
-
-    def absorb(a, b):
-        if isinstance(a, _Leg):
-            return _Leg(a.left, a.letter, mul(a.right, b))
-        return _Leg(mul(a, b.left), b.letter, b.right)
-
-    def block_value(window):
-        coeff = one
-        for leg in window:
-            coeff = mul(mul(coeff, leg.left), leg.right)
-        return scale(coeff, mf.value(tuple(leg.letter for leg in window)))
-
-    operands = [_Leg(one, s, one) for s in word]
-    return nested_eval(pi, block_value, operands, multiply=absorb)
+    return _leg_evaluator(mf, _scalar_algebra())(pi, word)
 
 
 def moments_to_cumulants(mf, pi, word):

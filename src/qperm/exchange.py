@@ -361,14 +361,6 @@ def _injection_weight(model, tau):
     return total
 
 
-def _kernel_representative(tau):
-    word = [0] * tau.ground_size
-    for label, block in enumerate(tau.blocks, start=1):
-        for x in block:
-            word[x - 1] = label
-    return tuple(word)
-
-
 def urn_moment_quantum(model, j_word, method="auto"):
     """Haar-state moment of the noncommutative urn at the word j.
 
@@ -387,7 +379,7 @@ def urn_moment_quantum(model, j_word, method="auto"):
         weight = _injection_weight(model, tau)
         if weight == 0:
             continue
-        total += weight * haar_moment(model.n, _kernel_representative(tau), j_word, method=method)
+        total += weight * haar_moment(model.n, tau.to_word(), j_word, method=method)
     return total
 
 
@@ -426,7 +418,6 @@ class GapReport:
     free_moment: Fraction
     gap: Fraction
     bound: Fraction
-    within_bound: bool
 
 
 def definetti_gap(model, j_word, spec_mode="marginal"):
@@ -456,7 +447,6 @@ def definetti_gap(model, j_word, spec_mode="marginal"):
         free_moment=free,
         gap=gap,
         bound=bound,
-        within_bound=True,
     )
 
 

@@ -74,19 +74,15 @@ class SetPartition:
     def block_count(self):
         return len(self.blocks)
 
-    def block_containing(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise BoundError(f"{x} is not in 1..{self.ground_size}")
-
-    def as_labels(self):
-        """Block index (0-based) at each position 1..k."""
-        out = [0] * self.ground_size
-        for bi, b in enumerate(self.blocks):
-            for x in b:
-                out[x - 1] = bi
-        return tuple(out)
+    def to_word(self):
+        """The word whose kernel is this partition: position x carries the
+        1-based number of its block, so blocks are labelled 1, 2, ... in
+        canonical order."""
+        word = [0] * self.ground_size
+        for label, block in enumerate(self.blocks, start=1):
+            for x in block:
+                word[x - 1] = label
+        return tuple(word)
 
     def sort_key(self):
         """Canonical enumeration key: finer partitions first."""
@@ -142,53 +138,55 @@ def _check_k(k, k_max=None):
         raise BoundError(f"k={k} outside 1..{limit}")
 
 
-def _blocks_cross(a, b):
-    # Two disjoint blocks cross iff their merged position sequence
-    # alternates a,b,a,b (three or more label changes).
-    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
-    changes = 0
-    for (_, u), (_, v) in zip(merged, merged[1:]):
-        if u != v:
-            changes += 1
-            if changes >= 3:
-                return True
-    return False
+def _peel(p, choose_interval=None):
+    """Remove the blocks of p one at a time, each an interval of the positions
+    still remaining; this is the recursive characterization of NC.
+
+    Each round offers the interval blocks in block order and takes the first,
+    unless `choose_interval` picks another of them.  It yields
+    (block, before, after), where before / after are the remaining positions
+    next to the block (None at either end).  If no block is an interval,
+    which happens exactly when p crosses, it yields None and stops.
+    Positions are bits of one integer, so the interval test is a mask
+    comparison: the remaining positions in [min, max] of a block are the
+    block itself.
+    """
+    masks = {}
+    for b in p.blocks:
+        own = 0
+        for x in b:
+            own |= 1 << x
+        masks[b] = (own, (2 << b[-1]) - (1 << b[0]))
+    alive = (2 << p.ground_size) - 2
+    while masks:
+        intervals = [b for b, (own, span) in masks.items() if alive & span == own]
+        if not intervals:
+            yield None
+            return
+        block = intervals[0] if choose_interval is None else choose_interval(intervals)
+        alive ^= masks.pop(block)[0]
+        below = alive & ((1 << block[0]) - 1)
+        above = alive >> block[-1]
+        yield (
+            block,
+            below.bit_length() - 1 if below else None,
+            (above & -above).bit_length() - 1 + block[-1] if above else None,
+        )
 
 
 def is_noncrossing(p):
-    """Pairwise test: no two blocks interleave."""
-    blocks = p.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _blocks_cross(blocks[i], blocks[j]):
-                return False
-    return True
+    """True iff interval blocks can be peeled until none is left."""
+    return all(_peel(p))
 
 
 def noncrossing_certificate(p):
-    """Peel interval blocks recursively; None if the partition crosses.
-
-    This is the recursive characterization of NC: a partition is
-    non-crossing iff it has a block that is an interval of the remaining
-    ground set, and removing it leaves a non-crossing partition.
-    """
-    remaining = list(range(1, p.ground_size + 1))
-    blocks = list(p.blocks)
+    """The peel of interval blocks as a replayable witness; None if p crosses."""
     peel = []
-    while blocks:
-        pos = {x: i for i, x in enumerate(remaining)}
-        found = None
-        for b in blocks:
-            idx = [pos[x] for x in b]
-            if idx[-1] - idx[0] == len(b) - 1:
-                found = b
-                break
-        if found is None:
+    for step in _peel(p):
+        if step is None:
             return None
-        peel.append((found, (found[0], found[-1])))
-        blocks.remove(found)
-        dead = set(found)
-        remaining = [x for x in remaining if x not in dead]
+        block = step[0]
+        peel.append((block, (block[0], block[-1])))
     return NonCrossingCertificate(partition=p, peel_order=tuple(peel))
 
 
@@ -318,6 +316,7 @@ def _mobius_row(k, a):
     sum_{p <= t <= q} mu(p, t) = [p == q], walking the up-set of nc[a]
     from finer to coarser (the enumeration order)."""
     nc, _, up = _nc_order_data(k)
+    down = _down_masks(k)
     row = [0] * len(nc)
     row[a] = 1
     mask = up[a]
@@ -325,7 +324,7 @@ def _mobius_row(k, a):
         if not (mask >> b) & 1:
             continue
         s = 0
-        bit = up_down_interval(k, a, b)
+        bit = mask & down[b]
         while bit:
             t = (bit & -bit).bit_length() - 1
             if t != b:
@@ -351,6 +350,7 @@ def _down_masks(k):
 
 def up_down_interval(k, a, b):
     """Bitmask of NC(k) indices t with nc[a] <= t <= nc[b]."""
+    _check_k(k)
     _, _, up = _nc_order_data(k)
     return up[a] & _down_masks(k)[b]
 
@@ -363,6 +363,7 @@ def _require_nc(p):
 def mobius_nc(p, q):
     """Moebius function of the lattice NC(k), by memoized recursion."""
     _require_same_ground(p, q)
+    _check_k(p.ground_size)
     _require_nc(p)
     _require_nc(q)
     if not leq(p, q):
@@ -379,6 +380,7 @@ def mobius_nc_chain_count(p, q):
     open interval, so their length is implicitly bounded by |p| - |q| - 1.
     """
     _require_same_ground(p, q)
+    _check_k(p.ground_size)
     _require_nc(p)
     _require_nc(q)
     if p == q:

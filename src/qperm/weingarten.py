@@ -9,11 +9,11 @@ order and are immutable once built.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BoundError, SingularGramError
+from .errors import BoundError, DomainError, SingularGramError
 from .partitions import (
     K_MAX,
     SetPartition,
@@ -34,40 +34,25 @@ def _check_kn(k, n, k_max=None):
 
 
 @dataclass(frozen=True)
-class GramTable:
-    """G_kn(pi, sigma) = n^{|pi v sigma|}, join taken in P(k)."""
+class NCTable:
+    """A square table indexed by NC(k) in canonical order: the Gram matrix
+    G_kn(pi, sigma) = n^{|pi v sigma|} (join taken in P(k)), or its exact
+    rational inverse, the Weingarten matrix W_kn."""
 
     k: int
     n: int
     index: tuple
     entries: tuple
+    _position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_position", {p: i for i, p in enumerate(self.index)})
 
     def position(self, p):
-        return self.index.index(p)
-
-    def entry(self, p, q):
-        return self.entries[self.position(p)][self.position(q)]
-
-    def to_json_dict(self):
-        return {
-            "k": self.k,
-            "n": self.n,
-            "index": [p.to_text() for p in self.index],
-            "matrix": [[str(x) for x in row] for row in self.entries],
-        }
-
-
-@dataclass(frozen=True)
-class WeingartenTable:
-    """Exact rational inverse of the Gram table, same indexing."""
-
-    k: int
-    n: int
-    index: tuple
-    entries: tuple
-
-    def position(self, p):
-        return self.index.index(p)
+        try:
+            return self._position[p]
+        except KeyError:
+            raise DomainError(f"{p} is not in NC({self.k})") from None
 
     def entry(self, p, q):
         return self.entries[self.position(p)][self.position(q)]
@@ -99,7 +84,7 @@ def gram(k, n):
     rows = tuple(
         tuple(n ** join(p, q).block_count() for q in nc) for p in nc
     )
-    return GramTable(k=k, n=n, index=nc, entries=rows)
+    return NCTable(k=k, n=n, index=nc, entries=rows)
 
 
 def _bareiss_inverse(rows, k, n):
@@ -151,22 +136,23 @@ def _bareiss_inverse(rows, k, n):
 
 @lru_cache(maxsize=None)
 def _weingarten_raw(k, n):
+    """(W_kn table, adjugate columns, det G_kn), built once per (k, n)."""
     g = gram(k, n)
-    fracs, nums, det = _bareiss_inverse([list(r) for r in g.entries], k, n)
-    return g, fracs, nums, det
+    fracs, nums, det = _bareiss_inverse(g.entries, k, n)
+    return NCTable(k=k, n=n, index=g.index, entries=fracs), nums, det
 
 
 def weingarten(k, n):
     """W_kn = G_kn^{-1}, exact; raises SingularGramError when G_kn is not
     invertible (possible for small n)."""
     _check_kn(k, n)
-    _, fracs, _, _ = _weingarten_raw(k, n)
-    return WeingartenTable(k=k, n=n, index=gram(k, n).index, entries=fracs)
+    return _weingarten_raw(k, n)[0]
 
 
 def check_inverse(k, n):
     """Certify G_kn * W_kn = I with pure integer arithmetic."""
-    g, _, nums, det = _weingarten_raw(k, n)
+    _, nums, det = _weingarten_raw(k, n)
+    g = gram(k, n)
     size = len(g.index)
     for i in range(size):
         gi = g.entries[i]

@@ -1,50 +1,6 @@
 """Brute-force oracles, independent of the library's production paths."""
 
-import itertools
 from fractions import Fraction
-
-
-def partitions_by_function_kernels(k):
-    """All partitions of {1..k} as kernels of functions {1..k} -> {1..k}."""
-    seen = set()
-    for f in itertools.product(range(k), repeat=k):
-        groups = {}
-        for pos, v in enumerate(f, start=1):
-            groups.setdefault(v, []).append(pos)
-        seen.add(tuple(sorted(tuple(b) for b in groups.values())))
-    return seen
-
-
-def crosses_by_definition(blocks):
-    """Quadruple loop straight off the defining condition s1<t1<s2<t2."""
-    for V in blocks:
-        for W in blocks:
-            if V == W:
-                continue
-            for s1 in V:
-                for s2 in V:
-                    for t1 in W:
-                        for t2 in W:
-                            if s1 < t1 < s2 < t2:
-                                return True
-    return False
-
-
-def mobius_by_direct_chain_enumeration(elements, le, p, q):
-    """Alternating chain count with explicit chain lists (no memoization)."""
-    if p == q:
-        return 1
-    if not le(p, q):
-        return 0
-    inner = [t for t in elements if le(p, t) and le(t, q) and t not in (p, q)]
-    total = -1
-    chains = [[v] for v in inner]
-    sign = 1
-    while chains:
-        total += sign * len(chains)
-        chains = [c + [w] for c in chains for w in inner if c[-1] != w and le(c[-1], w)]
-        sign = -sign
-    return total
 
 
 def gauss_jordan_inverse(rows):

@@ -296,8 +296,19 @@ class TestUsageErrors:
     def test_bad_range(self, capsys):
         assert main(["weingarten", "dk", "--k", "2", "--n-range", "x..y"]) == 1
 
+    def test_pair_outside_nc_k(self, capsys):
+        assert main(["weingarten", "asym", "--k", "2", "--n-range", "4..5",
+                     "--p", "1|2|3", "--q", "1,2,3"]) == 1
+
     def test_out_of_bound_k(self, capsys):
         assert main(["partitions", "enum", "--k", "0"]) == 1
+
+    def test_mobius_above_k_max(self, capsys):
+        # refused with BoundError before the NC(10) order is built
+        p = "|".join(str(x) for x in range(1, 11))
+        q = ",".join(str(x) for x in range(1, 11))
+        assert main(["partitions", "mobius", "--p", p, "--q", q]) == 1
+        assert "k=10" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["cumulants", "free-moment", "--spec", "/nope.json",

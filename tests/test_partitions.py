@@ -17,9 +17,12 @@ from qperm.partitions import (
     mobius_nc,
     mobius_nc_chain_count,
     noncrossing_certificate,
+    up_down_interval,
 )
-
-from _oracles import crosses_by_definition, partitions_by_function_kernels
+from qperm.acceptance import (
+    _crosses_by_definition as crosses_by_definition,
+    _partitions_by_function_kernels as partitions_by_function_kernels,
+)
 
 P = SetPartition.from_text
 
@@ -67,6 +70,11 @@ class TestSetPartition:
     def test_parser_round_trips(self, p):
         assert SetPartition.from_text(p.to_text()) == p
 
+    def test_to_word_round_trips_through_kernel(self):
+        assert P("1,3|2,4|5").to_word() == (1, 2, 1, 2, 3)
+        for p in enumerate_partitions(5):
+            assert kernel(p.to_word()) == p
+
 
 class TestEnumeration:
     def test_k1(self):
@@ -102,6 +110,14 @@ class TestEnumeration:
         with pytest.raises(BoundError):
             enumerate_nc(9)
         assert len(enumerate_nc(9, k_max=9)) == 4862
+        # the NC(k) order is never built past K_MAX
+        zero9, one9 = SetPartition.singletons(9), SetPartition.full(9)
+        with pytest.raises(BoundError):
+            mobius_nc(zero9, one9)
+        with pytest.raises(BoundError):
+            mobius_nc_chain_count(zero9, one9)
+        with pytest.raises(BoundError):
+            up_down_interval(9, 0, 0)
 
 
 class TestNonCrossing:
@@ -114,10 +130,10 @@ class TestNonCrossing:
     def test_nested_is_fine(self):
         assert is_noncrossing(P("1,4|2,3|5"))
 
-    def test_certificate_matches_pairwise_check_on_p6(self):
+    def test_certificate_matches_crossing_oracle_on_p6(self):
         for p in enumerate_partitions(6):
             cert = noncrossing_certificate(p)
-            assert (cert is not None) == is_noncrossing(p)
+            assert (cert is not None) == (not crosses_by_definition(p.blocks))
             if cert is not None:
                 assert cert.replay()
 
