@@ -43,7 +43,6 @@ from .cumulants import (
     cumulants_to_moments,
     free_iid_moment,
     freeness_check,
-    matrix_expectation,
     moments_to_cumulants,
     nested_eval,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "join",
     "kernel",
     "leq",
-    "matrix_expectation",
     "meet",
     "mobius_nc",
     "mobius_nc_chain_count",

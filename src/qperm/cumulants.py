@@ -18,11 +18,12 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import BoundError, DimensionError, DomainError
-from .partitions import _peel, enumerate_nc, is_noncrossing, kernel, leq, mobius_nc
+from .partitions import _mobius_below, _peel, enumerate_nc, is_noncrossing, kernel, leq
 from .weingarten import parse_rational, rational_str
 
 
@@ -256,10 +257,15 @@ def moments_to_cumulants(mf, pi, word):
         )
     if not is_noncrossing(pi):
         raise DomainError(f"partition is not non-crossing: {pi}")
+    return _mobius_inversion(pi, lambda sigma: moment_nested(mf, sigma, word))
+
+
+def _mobius_inversion(pi, nested):
+    """sum over sigma <= pi in NC(k) of mu(sigma, pi) * nested(sigma), for a
+    non-crossing pi."""
     total = Fraction(0)
-    for sigma in enumerate_nc(k):
-        if leq(sigma, pi):
-            total += mobius_nc(sigma, pi) * moment_nested(mf, sigma, word)
+    for sigma, mu in _mobius_below(pi):
+        total += mu * nested(sigma)
     return total
 
 
@@ -302,16 +308,11 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
             words += 1
             fams = tuple(family_labels[s] for s in word)
             ker = kernel(fams)
-            nested = {}
+            nested = cache(lambda sigma, word=word: moment_nested(mf, sigma, word))
             for pi in ncs:
                 if leq(pi, ker):
                     continue
-                value = Fraction(0)
-                for sigma in ncs:
-                    if leq(sigma, pi):
-                        if sigma not in nested:
-                            nested[sigma] = moment_nested(mf, sigma, word)
-                        value += mobius_nc(sigma, pi) * nested[sigma]
+                value = _mobius_inversion(pi, nested)
                 if abs(value) > tolerance:
                     violations.append((pi, word, value))
     return FreenessVerdict(
@@ -346,8 +347,3 @@ class MatrixProbabilitySpace:
 
     def identity(self):
         return np.eye(self.d * self.m, dtype=complex)
-
-
-def matrix_expectation(space, element):
-    """Identity-tensor-normalized partial trace onto the d x d algebra."""
-    return space.expectation(element)

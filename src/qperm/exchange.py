@@ -15,6 +15,7 @@ unital C*-algebra.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -331,37 +332,26 @@ class UrnModel:
 @lru_cache(maxsize=None)
 def _injection_weight(model, tau):
     """m_lambda(tau): sum over injections of tau's blocks into {1..n} of the
-    product of weights raised to block sizes.  Falling factorials count the
-    ways to realize each distinct weight value; ties in lambda contribute
-    through their multiplicity, never their position."""
-    counts = {}
-    for x in model.lam:
-        counts[x] = counts.get(x, 0) + 1
-    values = list(counts.items())
+    product of weights raised to block sizes.  Inclusion-exclusion over the
+    partitions sigma of the b blocks gives it from the power sums
+    p_m = sum_i lambda_i^m as sum_sigma mu(0, sigma) prod_{S in sigma} p_{|S|},
+    with mu(0, sigma) = prod_S (-1)^{|S|-1} (|S|-1)! and |S| the number of
+    positions in the blocks of S: Bell(b) terms, whatever the number of
+    distinct weights."""
+    counts = Counter(model.lam).items()
     sizes = [len(b) for b in tau.blocks]
+    power_sum = [sum(c * v**m for v, c in counts) for m in range(tau.ground_size + 1)]
     total = Fraction(0)
-    for assign in itertools.product(range(len(values)), repeat=len(sizes)):
-        used = {}
-        for u in assign:
-            used[u] = used.get(u, 0) + 1
-        weight = Fraction(1)
-        feasible = True
-        for u, t in used.items():
-            mult = values[u][1]
-            if t > mult:
-                feasible = False
-                break
-            for step in range(t):
-                weight *= mult - step
-        if not feasible:
-            continue
-        for bi, u in enumerate(assign):
-            weight *= values[u][0] ** sizes[bi]
-        total += weight
+    for sigma in enumerate_partitions(len(sizes)):
+        term = 1
+        for s in sigma.blocks:
+            term *= (-1) ** (len(s) - 1) * math.factorial(len(s) - 1)
+            term *= power_sum[sum(sizes[i - 1] for i in s)]
+        total += term
     return total
 
 
-def urn_moment_quantum(model, j_word, method="auto"):
+def urn_moment_quantum(model, j_word):
     """Haar-state moment of the noncommutative urn at the word j.
 
     Grouped by the kernel of the summation index: the Haar value of a
@@ -379,24 +369,24 @@ def urn_moment_quantum(model, j_word, method="auto"):
         weight = _injection_weight(model, tau)
         if weight == 0:
             continue
-        total += weight * haar_moment(model.n, tau.to_word(), j_word, method=method)
+        total += weight * haar_moment(model.n, tau.to_word(), j_word)
     return total
 
 
 def urn_moment_classical(model, j_word):
-    """Moment of classical sampling without replacement: average over S_n."""
-    if model.n > 8:
-        raise BoundError(f"classical urn sweep limited to n <= 8, got {model.n}")
+    """Moment of classical sampling without replacement.
+
+    A uniform permutation of the weights, restricted to the r distinct
+    labels of j, is a uniform injection, so the moment is m_lambda(ker j)
+    over the (n)_r injections.  r is bounded by K_MAX; n is not.
+    """
     j_word = tuple(j_word)
     if not all(1 <= x <= model.n for x in j_word):
         raise BoundError(f"labels out of range 1..{model.n}: {j_word}")
-    total = Fraction(0)
-    for perm in itertools.permutations(model.lam):
-        term = Fraction(1)
-        for t in j_word:
-            term *= perm[t - 1]
-        total += term
-    return total / math.factorial(model.n)
+    if not j_word:
+        return Fraction(1)
+    ker = kernel(j_word)
+    return _injection_weight(model, ker) / math.perm(model.n, ker.block_count())
 
 
 def marginal_cumulant_spec(model, k_max, letter="x"):
@@ -420,15 +410,13 @@ class GapReport:
     bound: Fraction
 
 
-def definetti_gap(model, j_word, spec_mode="marginal"):
+def definetti_gap(model, j_word):
     """Distance of the quantum urn from its marginal-matched free model.
 
     The comparison free i.i.d. family has cumulants derived from the
     single-variable marginal, so that the two sides agree on one-letter
     moments; the gap must stay below d_k(n)/n.
     """
-    if spec_mode != "marginal":
-        raise DomainError(f"unknown spec_mode {spec_mode!r}")
     j_word = tuple(j_word)
     k = len(j_word)
     spec = marginal_cumulant_spec(model, k)

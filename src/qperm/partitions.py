@@ -355,6 +355,20 @@ def up_down_interval(k, a, b):
     return up[a] & _down_masks(k)[b]
 
 
+def _mobius_below(pi):
+    """(sigma, mu(sigma, pi)) for every sigma of NC(k) below the non-crossing
+    pi, in enumeration order.  pi is not re-checked; k is bounded by K_MAX."""
+    k = pi.ground_size
+    _check_k(k)
+    nc, pos, _ = _nc_order_data(k)
+    b = pos[pi]
+    bits = _down_masks(k)[b]
+    while bits:
+        a = (bits & -bits).bit_length() - 1
+        yield nc[a], _mobius_row(k, a)[b]
+        bits &= bits - 1
+
+
 def _require_nc(p):
     if not is_noncrossing(p):
         raise DomainError(f"partition is not non-crossing: {p}")

@@ -1,5 +1,7 @@
 """Brute-force oracles, independent of the library's production paths."""
 
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -43,3 +45,48 @@ def nc_moment_sum(spec_values, letters, labels, enumerate_nc, leq, kernel):
             term *= spec_values.get((len(b), tuple(letters[x - 1] for x in b)), Fraction(0))
         total += term
     return total
+
+
+def injection_weight_by_assignment(lam, tau):
+    """m_lambda(tau) by assigning a distinct weight value to each block of tau.
+
+    Falling factorials count the ways to realize each distinct weight value;
+    ties in lambda contribute through their multiplicity, never their
+    position.  O(V^b) for V distinct values and b blocks.
+    """
+    counts = {}
+    for x in lam:
+        counts[x] = counts.get(x, 0) + 1
+    values = list(counts.items())
+    sizes = [len(b) for b in tau.blocks]
+    total = Fraction(0)
+    for assign in itertools.product(range(len(values)), repeat=len(sizes)):
+        used = {}
+        for u in assign:
+            used[u] = used.get(u, 0) + 1
+        weight = Fraction(1)
+        feasible = True
+        for u, t in used.items():
+            mult = values[u][1]
+            if t > mult:
+                feasible = False
+                break
+            for step in range(t):
+                weight *= mult - step
+        if not feasible:
+            continue
+        for bi, u in enumerate(assign):
+            weight *= values[u][0] ** sizes[bi]
+        total += weight
+    return total
+
+
+def classical_urn_by_permutations(lam, j_word):
+    """Classical urn moment as the average over all n! orderings of lambda."""
+    total = Fraction(0)
+    for perm in itertools.permutations(lam):
+        term = Fraction(1)
+        for t in j_word:
+            term *= perm[t - 1]
+        total += term
+    return total / math.factorial(len(lam))

@@ -183,6 +183,20 @@ class TestUrnCli:
         assert code == 0
         assert report["results"]["value"] == "0/1"
 
+    def test_classical_above_eight_weights(self, capsys):
+        lam = ",".join(["1"] * 5 + ["0"] * 7)
+        code, report = run_json(
+            capsys, "urn", "classical", "--n", "12", "--lam", lam, "--j", "1,2,3"
+        )
+        assert code == 0
+        assert report["results"]["value"] == "1/22"
+
+    def test_classical_more_than_k_max_labels(self, capsys):
+        ones = ",".join(["1"] * 9)
+        labels = ",".join(str(x) for x in range(1, 10))
+        assert main(["urn", "classical", "--n", "9", "--lam", ones, "--j", labels]) == 1
+        assert "k=9" in capsys.readouterr().err
+
     def test_gap(self, capsys):
         code, report = run_json(
             capsys, "urn", "gap", "--n", "6", "--lam", "1,1,1,0,0,0", "--j", "1,2,1,2"

@@ -12,7 +12,6 @@ from qperm.cumulants import (
     cumulants_to_moments,
     free_iid_moment,
     freeness_check,
-    matrix_expectation,
     moment_nested,
     moments_to_cumulants,
     nested_eval,
@@ -316,13 +315,13 @@ class TestFreenessCheck:
 class TestMatrixLayer:
     def test_expectation_is_unital(self):
         space = MatrixProbabilitySpace(d=2, m=3)
-        assert np.allclose(matrix_expectation(space, space.identity()), np.eye(2))
+        assert np.allclose(space.expectation(space.identity()), np.eye(2))
 
     def test_embedded_algebra_is_fixed(self):
         space = MatrixProbabilitySpace(d=3, m=2)
         rng = np.random.default_rng(0)
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(matrix_expectation(space, space.embed(b)), b)
+        assert np.allclose(space.expectation(space.embed(b)), b)
 
     def test_bimodule_property_on_random_triples(self):
         space = MatrixProbabilitySpace(d=2, m=4)
@@ -331,22 +330,22 @@ class TestMatrixLayer:
             b1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             b2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            lhs = matrix_expectation(space, space.embed(b1) @ a @ space.embed(b2))
-            rhs = b1 @ matrix_expectation(space, a) @ b2
+            lhs = space.expectation(space.embed(b1) @ a @ space.embed(b2))
+            rhs = b1 @ space.expectation(a) @ b2
             assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_idempotent_onto_corner(self):
         space = MatrixProbabilitySpace(d=2, m=3)
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6))
-        once = matrix_expectation(space, a)
-        twice = matrix_expectation(space, space.embed(once))
+        once = space.expectation(a)
+        twice = space.expectation(space.embed(once))
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_shape_mismatch(self):
         space = MatrixProbabilitySpace(d=2, m=2)
         with pytest.raises(DimensionError):
-            matrix_expectation(space, np.eye(3))
+            space.expectation(np.eye(3))
 
     def test_matrix_semicircular_matches_scalar_diagonally(self):
         d = 3

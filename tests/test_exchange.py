@@ -10,6 +10,7 @@ from qperm.cumulants import CumulantSpec, cumulants_to_moments, moment_nested
 from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.exchange import (
     MagicUnitary,
+    _injection_weight,
     UrnModel,
     all_permutation_magic_unitaries,
     bernoulli_moments,
@@ -29,7 +30,9 @@ from qperm.exchange import (
     urn_moment_quantum,
 )
 from qperm.cumulants import MomentFunctional
-from qperm.partitions import SetPartition, enumerate_nc, enumerate_partitions, kernel, leq
+from qperm.partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partitions, kernel, leq
+
+from _oracles import classical_urn_by_permutations, injection_weight_by_assignment
 
 P = SetPartition.from_text
 
@@ -235,6 +238,7 @@ class TestUrnMoments:
         model = UrnModel(3, [Fraction(1, 2)] * 3)
         assert urn_moment_classical(model, (1, 1)) == Fraction(1, 4)
         assert urn_moment_classical(UrnModel(4, [1, 2, 3, 4]), (2,)) == Fraction(5, 2)
+        assert urn_moment_classical(UrnModel(2, [1, 0]), ()) == 1
 
     def test_classical_hypergeometric_cross_check(self):
         # 0/1 weights, distinct labels: P(all draws are 1s) without replacement
@@ -246,9 +250,33 @@ class TestUrnMoments:
         )
         assert got == expected
 
-    def test_classical_bound(self):
+    def test_classical_refuses_more_than_k_max_labels(self):
         with pytest.raises(BoundError):
-            urn_moment_classical(UrnModel(9, [1] * 9), (1,))
+            urn_moment_classical(UrnModel(9, [1] * 9), tuple(range(1, K_MAX + 2)))
+
+    def test_classical_hypergeometric_above_eight_weights(self):
+        model = UrnModel(12, [1] * 5 + [0] * 7)
+        assert urn_moment_classical(model, (1, 2, 3)) == Fraction(5 * 4 * 3, 12 * 11 * 10)
+
+    def test_power_sums_match_assignment_and_permutation_oracles(self):
+        # n = 1, ties, negative weights, repeated labels and more blocks than
+        # weights (b > n, weight 0) all occur among these models
+        rng = random.Random(53)
+        models = [UrnModel(1, [Fraction(-2, 3)]), UrnModel(2, [1, 1]), UrnModel(3, [1, -1, 0])]
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            size = rng.randint(1, n)
+            pool = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+            models.append(UrnModel(n, [rng.choice(pool) for _ in range(n)]))
+        for model in models:
+            for k in range(1, 6):
+                for tau in enumerate_partitions(k):
+                    expected = injection_weight_by_assignment(model.lam, tau)
+                    assert _injection_weight(model, tau) == expected
+                for _ in range(3):
+                    j = tuple(rng.randint(1, model.n) for _ in range(k))
+                    expected = classical_urn_by_permutations(model.lam, j)
+                    assert urn_moment_classical(model, j) == expected
 
     def test_label_out_of_range(self):
         with pytest.raises(BoundError):
