@@ -389,13 +389,22 @@ def urn_moment_classical(model, j_word):
     return _injection_weight(model, ker) / math.perm(model.n, ker.block_count())
 
 
+@lru_cache(maxsize=None)
+def _marginal_cumulants(model, k_max):
+    # the cumulant values, not the spec: a CumulantSpec holds a mutable dict
+    word = ("x",)
+    moments = {word * p: model.marginal_moment(p) for p in range(1, k_max + 1)}
+    mf = MomentFunctional(alphabet=word, k_max=k_max, moments=moments)
+    return tuple(
+        moments_to_cumulants(mf, SetPartition.full(s), word * s) for s in range(1, k_max + 1)
+    )
+
+
 def marginal_cumulant_spec(model, k_max, letter="x"):
     """Free cumulants of the single-variable marginal m_p = (1/n) sum lambda_i^p."""
-    moments = {(letter,) * p: model.marginal_moment(p) for p in range(1, k_max + 1)}
-    mf = MomentFunctional(alphabet=(letter,), k_max=k_max, moments=moments)
     values = {
-        (letter,) * s: moments_to_cumulants(mf, SetPartition.full(s), (letter,) * s)
-        for s in range(1, k_max + 1)
+        (letter,) * s: value
+        for s, value in enumerate(_marginal_cumulants(model, k_max), start=1)
     }
     return CumulantSpec(alphabet=(letter,), k_max=k_max, values=values)
 

@@ -1,22 +1,27 @@
 """Exact Gram and Weingarten matrices for the quantum permutation group,
 the Haar-state integration formula, and the asymptotic residual sweeps.
 
-Everything in this module is exact: entries are big integers or
-`fractions.Fraction`, and the inverse is certified by an integer-arithmetic
-identity check.  Tables are indexed by NC(k) in the canonical enumeration
-order and are immutable once built.
+Everything in this module is exact.  The Gram matrix G_kn, its integer
+adjugate and det G_kn are each built once per (k, n); Haar sums and d_k(n)
+add adjugate integers and divide by det once, and the `Fraction` table
+W_kn is made only for callers that need the rationals.  The inverse is
+certified by an integer-arithmetic identity check.  Tables are indexed by
+NC(k) in the canonical enumeration order and are immutable once built.
 """
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import BoundError, DomainError, SingularGramError
 from .partitions import (
     K_MAX,
     SetPartition,
+    _mobius_row,
     enumerate_nc,
     join,
     kernel,
@@ -77,89 +82,110 @@ def parse_rational(text):
 
 
 @lru_cache(maxsize=None)
-def gram(k, n):
-    """Exact Gram matrix of the NC(k) partition vectors at size n."""
-    _check_kn(k, n)
-    nc = tuple(enumerate_nc(k))
-    rows = tuple(
-        tuple(n ** join(p, q).block_count() for q in nc) for p in nc
-    )
-    return NCTable(k=k, n=n, index=nc, entries=rows)
-
-
-def _bareiss_inverse(rows, k, n):
-    """Exact inverse of an integer matrix.
-
-    Forward elimination is fraction-free Bareiss: every update
-    (p*a[i][j] - a[i][r]*a[r][j]) / prev_pivot is an exact integer
-    division (the entries are minors of the input).  Pivoting is by index
-    order with a row swap only on a zero pivot, so the computation is
-    deterministic.  Back substitution stays in integers by solving for
-    x * det (an adjugate column), with a single Fraction per entry at the
-    end.  Returns (fractions, numerators, det).
-    """
-    size = len(rows)
-    a = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(rows)]
-    prev = 1
-    for r in range(size):
-        if a[r][r] == 0:
-            for i in range(r + 1, size):
-                if a[i][r] != 0:
-                    a[r], a[i] = a[i], a[r]
-                    break
-            else:
-                raise SingularGramError(k, n)
-        p = a[r][r]
-        for i in range(r + 1, size):
-            m = a[i][r]
-            row_i = a[i]
-            row_r = a[r]
-            for j in range(r, 2 * size):
-                row_i[j] = (p * row_i[j] - m * row_r[j]) // prev
-        prev = p
-    det = a[size - 1][size - 1]
-    nums = [[0] * size for _ in range(size)]
-    for c in range(size):
-        col = nums[c]
-        for i in range(size - 1, -1, -1):
-            s = a[i][size + c] * det
-            row = a[i]
-            for j in range(i + 1, size):
-                s -= row[j] * nums[c][j]
-            col[i] = s // a[i][i]
-    # nums[c][i] = (inverse)[i][c] * det; transpose while building Fractions
-    fracs = tuple(
-        tuple(Fraction(nums[c][i], det) for c in range(size)) for i in range(size)
-    )
-    return fracs, nums, det
+def _join_exponents(k):
+    """|p v q| for every pair of NC(k) in canonical order; n enters G_kn only
+    as the base raised to these exponents."""
+    nc = enumerate_nc(k)
+    return tuple(tuple(join(p, q).block_count() for q in nc) for p in nc)
 
 
 @lru_cache(maxsize=None)
-def _weingarten_raw(k, n):
-    """(W_kn table, adjugate columns, det G_kn), built once per (k, n)."""
-    g = gram(k, n)
-    fracs, nums, det = _bareiss_inverse(g.entries, k, n)
-    return NCTable(k=k, n=n, index=g.index, entries=fracs), nums, det
-
-
-def weingarten(k, n):
-    """W_kn = G_kn^{-1}, exact; raises SingularGramError when G_kn is not
-    invertible (possible for small n)."""
+def gram(k, n):
+    """Exact Gram matrix of the NC(k) partition vectors at size n."""
     _check_kn(k, n)
-    return _weingarten_raw(k, n)[0]
+    power = [n**e for e in range(k + 1)]
+    rows = tuple(tuple(power[e] for e in row) for row in _join_exponents(k))
+    return NCTable(k=k, n=n, index=tuple(enumerate_nc(k)), entries=rows)
+
+
+def _bareiss_inverse(rows, k, n):
+    """Adjugate and determinant of the Gram matrix G_kn, in integers.
+
+    Fraction-free factorization L G = U with no pivoting, built row by row.
+    Row i of the upper triangular U is row i of Bareiss elimination: U[i][j]
+    is the minor of G on rows 0..i and columns 0..i-1, j, so the pivots
+    U[i][i] are the leading minors p_i.  G is a Gram matrix, so they are
+    positive up to the first zero, and a zero pivot means G is singular:
+    there is no row swap.  Row i of the lower triangular L holds cofactors
+    of the leading (i+1)-block, integers with L[i][i] = p_{i-1}.  As G is
+    symmetric, U L^T = L G L^T is upper triangular and symmetric, so it is
+    the diagonal D_i = p_{i-1} p_i: row i of L solves U l = D_i e_i over
+    the rows of U above it, with exact divisions by the pivots, and row i
+    of U is then (L G)[i].  With G^{-1} = U^{-1} L, back substitution in
+    integers gives each adjugate column det * U^{-1} L e_c, only on and
+    below the diagonal, as adj is symmetric.  Returns (adj as a tuple of
+    rows, det).
+    """
+    start = time.perf_counter()
+    size = len(rows)
+    upper = []  # upper[i][t] = U[i][i + t]
+    lower = []  # lower[i][c] = L[i][c] for c <= i
+    prev = 1
+    for i in range(size):
+        l = [0] * i + [prev]
+        for b in range(i - 1, -1, -1):
+            u = upper[b]
+            l[b] = -sum(map(mul, u[1 : i - b + 1], l[b + 1 :])) // u[0]
+        terms = [(rows[c], x) for c, x in enumerate(l) if x]
+        u = [sum(x * g[j] for g, x in terms) for j in range(i, size)]
+        if u[0] == 0:
+            raise SingularGramError(k, n)
+        prev = u[0]
+        upper.append(u)
+        lower.append(l)
+    det = prev
+    # columns[c][i] = adj[i][c] for i >= c
+    columns = [[0] * size for _ in range(size)]
+    for c in range(size):
+        x = columns[c]
+        for i in range(size - 1, c - 1, -1):
+            u = upper[i]
+            x[i] = (lower[i][c] * det - sum(map(mul, u[1:], x[i + 1 :]))) // u[0]
+    adj = tuple(
+        tuple(columns[c][i] if c <= i else columns[i][c] for c in range(size))
+        for i in range(size)
+    )
+    # imported here, so that `import qperm` does not pay for the logging package
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "elimination k=%d n=%d N=%d det_bits=%d seconds=%.4f",
+        k, n, size, det.bit_length(), time.perf_counter() - start,
+    )
+    return adj, det
+
+
+@lru_cache(maxsize=None)
+def _adjugate(k, n):
+    """(adj G_kn, det G_kn) in integers, built once per (k, n)."""
+    return _bareiss_inverse(gram(k, n).entries, k, n)
+
+
+@lru_cache(maxsize=None)
+def weingarten(k, n):
+    """W_kn = G_kn^{-1} = adj / det, exact; raises SingularGramError when
+    G_kn is not invertible (possible for small n)."""
+    adj, det = _adjugate(k, n)
+    entries = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    return NCTable(k=k, n=n, index=gram(k, n).index, entries=entries)
 
 
 def check_inverse(k, n):
-    """Certify G_kn * W_kn = I with pure integer arithmetic."""
-    _, nums, det = _weingarten_raw(k, n)
-    g = gram(k, n)
-    size = len(g.index)
-    for i in range(size):
-        gi = g.entries[i]
-        for j in range(size):
-            s = sum(gi[l] * nums[j][l] for l in range(size))
-            if s != (det if i == j else 0):
-                return False
+    """Certify G_kn * adj G_kn = det G_kn * I, every entry in exact integers.
+
+    Row i of G is n^{e(i, l)} over the join exponents e, so row i of the
+    product is a polynomial in n whose coefficient of n^d is the sum of the
+    adjugate rows l with e(i, l) = d; Horner's rule evaluates it."""
+    adj, det = _adjugate(k, n)
+    size = len(adj)
+    zero = (0,) * size
+    for i, exponents in enumerate(_join_exponents(k)):
+        product = zero
+        for d in range(k, -1, -1):
+            terms = [adj[l] for l, e in enumerate(exponents) if e == d] or [zero]
+            product = [x * n + s for x, s in zip(product, map(sum, zip(*terms)))]
+        if product != [det if j == i else 0 for j in range(size)]:
+            return False
     return True
 
 
@@ -174,18 +200,18 @@ def _haar_average_over_sn(n, i, j):
 
 
 @lru_cache(maxsize=None)
+def _nc_below(ker):
+    """Positions in NC(k), canonical order, of the partitions p <= ker."""
+    return tuple(a for a, p in enumerate(enumerate_nc(ker.ground_size)) if leq(p, ker))
+
+
+@lru_cache(maxsize=None)
 def _haar_weingarten_by_kernels(n, ker_i, ker_j):
-    # the double Weingarten sum depends on the words only through kernels
-    k = ker_i.ground_size
-    table = weingarten(k, n)
-    row_ids = [a for a, p in enumerate(table.index) if leq(p, ker_i)]
-    col_ids = [b for b, q in enumerate(table.index) if leq(q, ker_j)]
-    total = Fraction(0)
-    for a in row_ids:
-        row = table.entries[a]
-        for b in col_ids:
-            total += row[b]
-    return total
+    # the double Weingarten sum depends on the words only through kernels;
+    # it adds adjugate integers and divides by det once
+    adj, det = _adjugate(ker_i.ground_size, n)
+    cols = _nc_below(ker_j)
+    return Fraction(sum(adj[a][b] for a in _nc_below(ker_i) for b in cols), det)
 
 
 def _haar_weingarten(n, i, j):
@@ -281,6 +307,19 @@ class DkReport:
     max_value: Fraction
 
 
+@lru_cache(maxsize=None)
+def _dk(k, n):
+    """d_k(n) from integers.  det G_kn > 0 (an invertible Gram matrix is
+    positive definite), so with W = adj / det, d_k(n) = n / det * sum |adj(p, q) n^{|p|} - mu(p, q) det|,
+    where mu(p, q) = 0 unless p <= q."""
+    adj, det = _adjugate(k, n)
+    total = 0
+    for a, (p, row) in enumerate(zip(gram(k, n).index, adj)):
+        scale = n ** p.block_count()
+        total += sum(abs(x * scale - m * det) for x, m in zip(row, _mobius_row(k, a)))
+    return Fraction(n * total, det)
+
+
 def dk_value(k, n_range):
     """d_k(n) = n * sum over NC(k)^2 of |W_kn * n^{|p|} - mu_k(p, q)|.
 
@@ -290,20 +329,5 @@ def dk_value(k, n_range):
     ns = sorted(set(n_range))
     if not ns:
         raise BoundError("empty n range")
-    nc = enumerate_nc(k)
-    mu = {
-        (p, q): (mobius_nc(p, q) if leq(p, q) else 0)
-        for p in nc
-        for q in nc
-    }
-    values = []
-    for n in ns:
-        table = weingarten(k, n)
-        total = Fraction(0)
-        for a, p in enumerate(nc):
-            scale = Fraction(n) ** p.block_count()
-            row = table.entries[a]
-            for b, q in enumerate(nc):
-                total += abs(row[b] * scale - mu[(p, q)])
-        values.append((n, n * total))
-    return DkReport(k=k, values=tuple(values), max_value=max(v for _, v in values))
+    values = tuple((n, _dk(k, n)) for n in ns)
+    return DkReport(k=k, values=values, max_value=max(v for _, v in values))

@@ -90,3 +90,27 @@ def classical_urn_by_permutations(lam, j_word):
             term *= perm[t - 1]
         total += term
     return total / math.factorial(len(lam))
+
+
+def haar_by_fraction_table(table, index, ker_i, ker_j, leq):
+    """Haar value of a generator word pair as the double sum of a Fraction
+    Weingarten table over the NC(k) rows below ker i and columns below ker j."""
+    total = Fraction(0)
+    for a, p in enumerate(index):
+        if leq(p, ker_i):
+            for b, q in enumerate(index):
+                if leq(q, ker_j):
+                    total += table[a][b]
+    return total
+
+
+def dk_by_fraction_table(table, index, n, mobius_nc, leq):
+    """d_k(n) = n * sum over NC(k)^2 of |W(p, q) n^{|p|} - mu(p, q)|, summed
+    in Fractions, with mu(p, q) = 0 unless p <= q."""
+    total = Fraction(0)
+    for a, p in enumerate(index):
+        scale = Fraction(n) ** p.block_count()
+        for b, q in enumerate(index):
+            mu = mobius_nc(p, q) if leq(p, q) else 0
+            total += abs(table[a][b] * scale - mu)
+    return n * total

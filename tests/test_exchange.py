@@ -342,6 +342,19 @@ class TestDeFinettiGap:
         assert report.bound == Fraction(17852, 95)  # d_4(6)/6, frozen from a sweep
         assert isinstance(report.gap, Fraction)
 
+    def test_marginal_cumulant_spec_is_fresh_per_call(self):
+        # free cumulants of the Bernoulli(1/2) marginal: 1/2, 1/4, 0, -1/16
+        model = UrnModel(6, [1, 1, 1, 0, 0, 0])
+        expected = [Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(-1, 16)]
+        first = marginal_cumulant_spec(model, 4)
+        assert first.values == {("x",) * s: v for s, v in enumerate(expected, start=1)}
+        first.values[("x",)] = Fraction(7)
+        second = marginal_cumulant_spec(model, 4)
+        assert second is not first
+        assert second.values[("x",)] == Fraction(1, 2)
+        other = marginal_cumulant_spec(model, 4, letter="y")
+        assert other.values == {("y",) * s: v for s, v in enumerate(expected, start=1)}
+
     def test_gap_times_n_bounded_over_sweep(self):
         profile = [1, 1, 0]
         products = []

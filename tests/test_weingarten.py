@@ -1,12 +1,22 @@
 import itertools
+import logging
 import math
 from fractions import Fraction
 
 import pytest
 
 from qperm.errors import BoundError, SingularGramError
-from qperm.partitions import SetPartition, enumerate_nc, kernel, leq
+from qperm.partitions import (
+    SetPartition,
+    enumerate_nc,
+    enumerate_partitions,
+    kernel,
+    leq,
+    mobius_nc,
+)
 from qperm.weingarten import (
+    _adjugate,
+    _bareiss_inverse,
     check_inverse,
     dk_value,
     gram,
@@ -17,8 +27,36 @@ from qperm.weingarten import (
     weingarten_asymptotics,
 )
 
+from _oracles import dk_by_fraction_table, gauss_jordan_inverse, haar_by_fraction_table
+
 ZERO2 = SetPartition.singletons(2)
 ONE2 = SetPartition.full(2)
+
+
+def meander_det(k, n):
+    """det G_kn from Di Francesco's meander determinant at delta = sqrt n:
+    n^{Cat(k)/2} prod_{m=1..k} U_m(sqrt n)^{a_{k,m}}, with
+    a_{k,m} = C(2k,k-m) - 2C(2k,k-m-1) + C(2k,k-m-2) and the Chebyshev
+    polynomials U_0 = 1, U_1 = x, U_{m+1} = x U_m - U_{m-1}.  Evaluated in
+    Z[sqrt n] as pairs (a, b) = a + b sqrt n; no elimination is involved."""
+
+    def times(u, v):
+        return (u[0] * v[0] + u[1] * v[1] * n, u[0] * v[1] + u[1] * v[0])
+
+    def comb(r):
+        return math.comb(2 * k, r) if r >= 0 else 0
+
+    cat = math.comb(2 * k, k) // (k + 1)
+    value = (n ** (cat // 2), 0) if cat % 2 == 0 else (0, n ** (cat // 2))
+    u_prev, u = (1, 0), (0, 1)
+    for m in range(1, k + 1):
+        exponent = comb(k - m) - 2 * comb(k - m - 1) + comb(k - m - 2)
+        assert exponent >= 0
+        for _ in range(exponent):
+            value = times(value, u)
+        u_prev, u = u, (u[1] * n - u_prev[0], u[0] - u_prev[1])
+    assert value[1] == 0
+    return value[0]
 
 
 class TestGram:
@@ -76,8 +114,6 @@ class TestWeingarten:
 
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (4, 4), (4, 9), (5, 6)])
     def test_matches_plain_gauss_jordan_oracle(self, k, n):
-        from _oracles import gauss_jordan_inverse
-
         expected = gauss_jordan_inverse([list(r) for r in gram(k, n).entries])
         got = weingarten(k, n).entries
         assert [list(r) for r in got] == expected
@@ -104,6 +140,35 @@ class TestWeingarten:
             weingarten(3, 2)
         with pytest.raises(SingularGramError):
             weingarten(5, 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_det_matches_meander_closed_form(self, k):
+        for n in range(1, 9):
+            det = meander_det(k, n)
+            if det == 0:
+                with pytest.raises(SingularGramError):
+                    _adjugate(k, n)
+            else:
+                assert _adjugate(k, n)[1] == det
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_singular_pattern(self, k):
+        for n in range(1, 5):
+            if (n == 1 and k >= 2) or (n == 2 and k >= 3) or (n == 3 and k >= 5):
+                with pytest.raises(SingularGramError):
+                    check_inverse(k, n)
+            else:
+                assert check_inverse(k, n)
+
+    def test_elimination_logs_one_debug_record(self, caplog):
+        logger = logging.getLogger("qperm.weingarten")
+        assert not logger.isEnabledFor(logging.DEBUG)
+        with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
+            _, det = _bareiss_inverse(gram(3, 5).entries, 3, 5)
+        records = [r for r in caplog.records if r.name == "qperm.weingarten"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert message.startswith(f"elimination k=3 n=5 N=5 det_bits={det.bit_length()} seconds=")
 
     def test_json_dict_round_trips(self):
         t = weingarten(2, 4)
@@ -169,6 +234,17 @@ class TestHaarMoment:
         with pytest.raises(SingularGramError):
             haar_moment(2, (1, 1, 2), (1, 2, 1), method="weingarten")
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_adjugate_sums_match_fraction_table_oracle(self, k):
+        words = [p.to_word() for p in enumerate_partitions(k)]
+        for n in range(4, 9):
+            index = gram(k, n).index
+            table = gauss_jordan_inverse([list(r) for r in gram(k, n).entries])
+            for i in words:
+                for j in words:
+                    expected = haar_by_fraction_table(table, index, kernel(i), kernel(j), leq)
+                    assert haar_moment(n, i, j) == expected
+
     def test_index_out_of_range(self):
         with pytest.raises(BoundError):
             haar_moment(4, (5,), (1,))
@@ -224,6 +300,14 @@ class TestDk:
         report = dk_value(2, range(4, 41))
         for n, v in report.values:
             assert v == Fraction(4 * n, n - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_fraction_table_oracle(self, k):
+        report = dk_value(k, range(4, 21))
+        for n, value in report.values:
+            index = gram(k, n).index
+            table = gauss_jordan_inverse([list(r) for r in gram(k, n).entries])
+            assert value == dk_by_fraction_table(table, index, n, mobius_nc, leq)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_bounded_over_sweep(self, k):
