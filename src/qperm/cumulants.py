@@ -1,10 +1,12 @@
 """Moment and cumulant functions over the non-crossing lattice.
 
-The recursive interval-extraction evaluator `nested_eval` is the common
-engine: moments of a cumulant specification, cumulants of a moment
-functional (Moebius inversion), free i.i.d. moments with a kernel filter,
-and the vanishing-mixed-cumulants freeness test are all sums of nested
-evaluations.
+With commuting scalars, the nested collapse of a non-crossing partition
+is the plain product over its blocks of the block values, so every scalar
+sum is a sum of block products: moments of a cumulant specification,
+cumulants of a moment functional (Moebius inversion), free i.i.d. moments
+over the partitions below a kernel, and the vanishing-mixed-cumulants
+freeness test.  The recursive interval-extraction evaluator `nested_eval`
+serves the matrix instantiation, where the order of the factors matters.
 
 Scalars are exact rationals throughout; the matrix instantiation (values
 and operand coefficients in M_d(C)) is the only approximate layer, with
@@ -18,12 +20,20 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
 from .errors import BoundError, DimensionError, DomainError
-from .partitions import _mobius_below, _peel, enumerate_nc, is_noncrossing, kernel, leq
+from .partitions import (
+    _all_nc,
+    _mobius_below,
+    _nc_below,
+    _peel,
+    enumerate_nc,
+    is_noncrossing,
+    kernel,
+)
 from .weingarten import parse_rational, rational_str
 
 
@@ -174,28 +184,18 @@ class _Leg:
         self.right = right
 
 
-def _scalar_algebra():
-    return Fraction(1), operator.mul, lambda c, v: c * v
-
-
-def _matrix_algebra(d):
+def _leg_evaluator(spec, d):
+    """Nested evaluation of a letter word at a partition in M_d, as a function
+    (pi, word) -> value: each block's value is `spec.value` of its letters,
+    scaled by the ordered product of the d x d coefficients that earlier
+    blocks left on its legs."""
     one = np.eye(d, dtype=complex)
+    mul = operator.matmul
 
     def scale(coeff, value):
         if isinstance(value, np.ndarray):
             return np.asarray(coeff) @ np.asarray(value, dtype=complex)
         return complex(value) * coeff
-
-    return one, operator.matmul, scale
-
-
-def _leg_evaluator(source, algebra):
-    """Nested evaluation of a letter word at a partition, as a function
-    (pi, word) -> value: each block's value is `source.value` of its letters,
-    scaled by the ordered product of the algebra coefficients that earlier
-    blocks left on its legs.  `source` is a CumulantSpec or a MomentFunctional;
-    `algebra` is a (one, mul, scale) triple."""
-    one, mul, scale = algebra
 
     def absorb(a, b):
         if isinstance(a, _Leg):
@@ -206,7 +206,7 @@ def _leg_evaluator(source, algebra):
         coeff = one
         for leg in window:
             coeff = mul(mul(coeff, leg.left), leg.right)
-        return scale(coeff, source.value(tuple(leg.letter for leg in window)))
+        return scale(coeff, spec.value(tuple(leg.letter for leg in window)))
 
     def evaluate(pi, word):
         operands = [_Leg(one, s, one) for s in word]
@@ -215,17 +215,30 @@ def _leg_evaluator(source, algebra):
     return evaluate
 
 
+def _block_product(source, pi, word):
+    """prod over the blocks V of pi, in block order, of source.value(word|V):
+    the nested value of a non-crossing pi when the values commute.  `source`
+    is a CumulantSpec or a MomentFunctional; every block is looked up, so a
+    zero factor does not hide a word the source cannot evaluate."""
+    factors = (source.value(tuple(word[x - 1] for x in b)) for b in pi.blocks)
+    return reduce(operator.mul, factors)
+
+
 def _spec_sum(spec, word, admissible):
-    """Sum of nested block-value products over a set of NC partitions."""
+    """Sum over a set of NC partitions of the nested block values: plain
+    block products for scalar values, `nested_eval` in M_d for matrices."""
     word = tuple(word)
     k = len(word)
     if k > spec.k_max:
         raise BoundError(f"degree {k} exceeds k_max={spec.k_max}")
     d = spec.matrix_dim()
-    evaluate = _leg_evaluator(spec, _matrix_algebra(d) if d else _scalar_algebra())
+    if d is None:
+        terms = (_block_product(spec, pi, word) for pi in admissible)
+    else:
+        evaluate = _leg_evaluator(spec, d)
+        terms = (evaluate(pi, word) for pi in admissible)
     total = None
-    for pi in admissible:
-        term = evaluate(pi, word)
+    for term in terms:
         total = term if total is None else total + term
     if total is None:
         return Fraction(0) if d is None else np.zeros((d, d), dtype=complex)
@@ -244,7 +257,9 @@ def moment_nested(mf, pi, word):
         raise DimensionError(
             f"word length {len(word)} differs from ground size {pi.ground_size}"
         )
-    return _leg_evaluator(mf, _scalar_algebra())(pi, word)
+    if not is_noncrossing(pi):
+        raise DomainError(f"partition is not non-crossing: {pi}")
+    return _block_product(mf, pi, word)
 
 
 def moments_to_cumulants(mf, pi, word):
@@ -257,12 +272,12 @@ def moments_to_cumulants(mf, pi, word):
         )
     if not is_noncrossing(pi):
         raise DomainError(f"partition is not non-crossing: {pi}")
-    return _mobius_inversion(pi, lambda sigma: moment_nested(mf, sigma, word))
+    return _mobius_inversion(pi, lambda sigma: _block_product(mf, sigma, word))
 
 
 def _mobius_inversion(pi, nested):
     """sum over sigma <= pi in NC(k) of mu(sigma, pi) * nested(sigma), for a
-    non-crossing pi."""
+    non-crossing pi; every sigma is non-crossing, so `nested` need not check."""
     total = Fraction(0)
     for sigma, mu in _mobius_below(pi):
         total += mu * nested(sigma)
@@ -278,9 +293,9 @@ def free_iid_moment(spec, letters, labels):
         raise DimensionError(
             f"{len(letters)} letters vs {len(labels)} labels"
         )
-    ker = kernel(labels)
-    admissible = [pi for pi in enumerate_nc(len(letters)) if leq(pi, ker)]
-    return _spec_sum(spec, letters, admissible)
+    below = _nc_below(kernel(labels))
+    nc = _all_nc(len(labels))
+    return _spec_sum(spec, letters, [nc[a] for a in below])
 
 
 @dataclass(frozen=True)
@@ -307,10 +322,10 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
         for word in itertools.product(mf.alphabet, repeat=k):
             words += 1
             fams = tuple(family_labels[s] for s in word)
-            ker = kernel(fams)
-            nested = cache(lambda sigma, word=word: moment_nested(mf, sigma, word))
-            for pi in ncs:
-                if leq(pi, ker):
+            below = set(_nc_below(kernel(fams)))
+            nested = cache(lambda sigma, word=word: _block_product(mf, sigma, word))
+            for a, pi in enumerate(ncs):
+                if a in below:
                     continue
                 value = _mobius_inversion(pi, nested)
                 if abs(value) > tolerance:

@@ -25,7 +25,7 @@ import numpy as np
 from .cumulants import CumulantSpec, MomentFunctional, free_iid_moment, moments_to_cumulants
 from .errors import BoundError, DimensionError, DomainError, InvariantViolation
 from .partitions import SetPartition, enumerate_partitions, kernel, leq
-from .weingarten import dk_value, haar_moment
+from .weingarten import dk_value, haar_kernel_moment
 
 DEFAULT_TOL = 1e-9
 
@@ -324,6 +324,11 @@ class UrnModel:
         if len(self.lam) != self.n:
             raise DimensionError(f"need {self.n} weights, got {len(self.lam)}")
         object.__setattr__(self, "lam", tuple(Fraction(x) for x in self.lam))
+        # the key of the urn memo tables: hash the n weights once
+        object.__setattr__(self, "_hash", hash((self.n, self.lam)))
+
+    def __hash__(self):
+        return self._hash
 
     def marginal_moment(self, p):
         return sum(x**p for x in self.lam) / self.n
@@ -356,20 +361,24 @@ def urn_moment_quantum(model, j_word):
 
     Grouped by the kernel of the summation index: the Haar value of a
     generator word depends on i only through ker i, so the n^k sum
-    collapses to a sum over P(k) weighted by injection counts.
+    collapses to a sum over P(k) weighted by injection counts.  tau is the
+    kernel of the index words it stands for, so the Haar value is taken at
+    tau and ker j directly.
     """
     j_word = tuple(j_word)
     k = len(j_word)
     if not all(1 <= x <= model.n for x in j_word):
         raise BoundError(f"labels out of range 1..{model.n}: {j_word}")
+    taus = enumerate_partitions(k)
+    ker_j = kernel(j_word)
     total = Fraction(0)
-    for tau in enumerate_partitions(k):
+    for tau in taus:
         if tau.block_count() > model.n:
             continue
         weight = _injection_weight(model, tau)
         if weight == 0:
             continue
-        total += weight * haar_moment(model.n, tau.to_word(), j_word)
+        total += weight * haar_kernel_moment(model.n, tau, j_word, ker_j)
     return total
 
 

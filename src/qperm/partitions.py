@@ -7,6 +7,7 @@ All operations are pure; memoization goes through `functools.lru_cache`,
 which is internally synchronized, so concurrent read-only use is safe.
 """
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,9 +19,14 @@ K_MAX = 8
 
 
 class SetPartition:
-    """A partition of {1..k} into disjoint non-empty blocks."""
+    """A partition of {1..k} into disjoint non-empty blocks.
 
-    __slots__ = ("ground_size", "blocks")
+    `pairs` is the same-block relation as a k x k bit matrix: bit
+    (x - 1) * k + (y - 1) is set iff x and y share a block.  For one ground
+    size, p <= q iff the pairs of p are a subset of the pairs of q.
+    """
+
+    __slots__ = ("ground_size", "blocks", "pairs")
 
     def __init__(self, blocks, ground_size=None):
         cleaned = []
@@ -41,6 +47,16 @@ class SetPartition:
         cleaned.sort(key=lambda b: b[0])
         self.ground_size = k
         self.blocks = tuple(cleaned)
+        pairs = 0
+        for b in cleaned:
+            # row: the block as a k-bit mask; row * spread puts a copy of it
+            # at row x - 1 of the bit matrix for each x in the block
+            row = spread = 0
+            for x in b:
+                row |= 1 << (x - 1)
+                spread |= 1 << ((x - 1) * k)
+            pairs |= row * spread
+        self.pairs = pairs
 
     @classmethod
     def singletons(cls, k):
@@ -232,17 +248,10 @@ def enumerate_nc(k, k_max=None):
 
 
 def leq(p, q):
-    """Refinement order: every block of p lies inside a block of q."""
+    """Refinement order: every block of p lies inside a block of q, i.e. every
+    same-block pair of p is one of q."""
     _require_same_ground(p, q)
-    where = {}
-    for bi, b in enumerate(q.blocks):
-        for x in b:
-            where[x] = bi
-    for b in p.blocks:
-        target = where[b[0]]
-        if any(where[x] != target for x in b[1:]):
-            return False
-    return True
+    return not p.pairs & ~q.pairs
 
 
 def join(p, q):
@@ -297,17 +306,36 @@ def kernel(indices):
 
 @lru_cache(maxsize=None)
 def _nc_order_data(k):
-    """(partitions, index map, up-sets as bitmasks) for NC(k)."""
+    """(partitions, index map, up-sets as bitmasks) for NC(k).
+
+    p <= q implies |p| >= |q|, and the enumeration puts finer partitions
+    first, so the up-set of nc[i] lies in positions i and above."""
+    start = time.perf_counter()
     nc = _all_nc(k)
     pos = {p: i for i, p in enumerate(nc)}
+    pairs = [p.pairs for p in nc]
     up = []
-    for p in nc:
+    for i, own in enumerate(pairs):
         mask = 0
-        for j, q in enumerate(nc):
-            if leq(p, q):
+        for j in range(i, len(pairs)):
+            if not own & ~pairs[j]:
                 mask |= 1 << j
         up.append(mask)
+    # imported here, so that `import qperm` does not pay for the logging package
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "NC order k=%d N=%d seconds=%.4f", k, len(nc), time.perf_counter() - start
+    )
     return nc, pos, tuple(up)
+
+
+@lru_cache(maxsize=None)
+def _nc_below(ker):
+    """Positions in NC(k), canonical order, of the partitions p <= ker."""
+    _check_k(ker.ground_size)
+    mask = ~ker.pairs
+    return tuple(a for a, p in enumerate(_all_nc(ker.ground_size)) if not p.pairs & mask)
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from .partitions import (
     K_MAX,
     SetPartition,
     _mobius_row,
+    _nc_below,
     enumerate_nc,
     join,
     kernel,
@@ -155,9 +156,21 @@ def _bareiss_inverse(rows, k, n):
     return adj, det
 
 
+# G_kn is singular exactly for n = 1, k >= 2; n = 2, k >= 3; n = 3, k >= 5;
+# never for n >= 4.  Di Francesco's meander determinant is
+# det G_kn = n^{Cat(k)/2} prod_{m=1..k} U_m(sqrt n)^{a_{k,m}} with every
+# a_{k,m} > 0, and the roots of U_m are 2 cos(pi j / (m + 1)): sqrt n = 1,
+# sqrt 2, sqrt 3 is first a root at m = 2, 3, 5, and no root reaches 2.
+_SINGULAR_FROM_K = {1: 2, 2: 3, 3: 5}
+
+
 @lru_cache(maxsize=None)
 def _adjugate(k, n):
-    """(adj G_kn, det G_kn) in integers, built once per (k, n)."""
+    """(adj G_kn, det G_kn) in integers, built once per (k, n).  A singular
+    G_kn raises SingularGramError before any elimination."""
+    _check_kn(k, n)
+    if k >= _SINGULAR_FROM_K.get(n, K_MAX + 1):
+        raise SingularGramError(k, n)
     return _bareiss_inverse(gram(k, n).entries, k, n)
 
 
@@ -200,12 +213,6 @@ def _haar_average_over_sn(n, i, j):
 
 
 @lru_cache(maxsize=None)
-def _nc_below(ker):
-    """Positions in NC(k), canonical order, of the partitions p <= ker."""
-    return tuple(a for a, p in enumerate(enumerate_nc(ker.ground_size)) if leq(p, ker))
-
-
-@lru_cache(maxsize=None)
 def _haar_weingarten_by_kernels(n, ker_i, ker_j):
     # the double Weingarten sum depends on the words only through kernels;
     # it adds adjugate integers and divides by det once
@@ -214,8 +221,15 @@ def _haar_weingarten_by_kernels(n, ker_i, ker_j):
     return Fraction(sum(adj[a][b] for a in _nc_below(ker_i) for b in cols), det)
 
 
-def _haar_weingarten(n, i, j):
-    return _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
+def haar_kernel_moment(n, ker_i, j, ker_j):
+    """haar_moment(n, i, j) by the "auto" method, for any word i with kernel
+    ker_i: relabeling i by a permutation of 1..n does not change the value,
+    so it depends on i only through its kernel.  Nothing is checked:
+    ker_j = kernel(j), the entries of j lie in 1..n, ker_i has at most n
+    blocks and the ground size of ker_j, which is at most K_MAX."""
+    if n <= 3:
+        return _haar_average_over_sn(n, ker_i.to_word(), j)
+    return _haar_weingarten_by_kernels(n, ker_i, ker_j)
 
 
 def haar_moment(n, i, j, method="auto"):
@@ -232,10 +246,12 @@ def haar_moment(n, i, j, method="auto"):
     _check_kn(len(i), n)
     if not all(1 <= x <= n for x in i) or not all(1 <= x <= n for x in j):
         raise BoundError(f"index out of range 1..{n}: i={i}, j={j}")
-    if method == "average" or (method == "auto" and n <= 3):
+    if method == "auto":
+        return haar_kernel_moment(n, kernel(i), j, kernel(j))
+    if method == "average":
         return _haar_average_over_sn(n, i, j)
-    if method in ("auto", "weingarten"):
-        return _haar_weingarten(n, i, j)
+    if method == "weingarten":
+        return _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
     raise BoundError(f"unknown method {method!r}")
 
 

@@ -114,3 +114,53 @@ def dk_by_fraction_table(table, index, n, mobius_nc, leq):
             mu = mobius_nc(p, q) if leq(p, q) else 0
             total += abs(table[a][b] * scale - mu)
     return n * total
+
+
+def leq_by_block_lookup(p, q):
+    """Refinement order by a position -> block-of-q map: every block of p
+    must map to one block of q."""
+    where = {}
+    for bi, b in enumerate(q.blocks):
+        for x in b:
+            where[x] = bi
+    return all(len({where[x] for x in b}) == 1 for b in p.blocks)
+
+
+def nc_block_sum(values, letters, partitions, crosses, labels=None):
+    """Sum over the partitions of {1..k}, given as tuples of blocks, that do not
+    cross and, when labels are given, carry one label per block, of the product
+    over blocks of values[letters restricted to the block]; absent words are 0."""
+    total = Fraction(0)
+    for blocks in partitions:
+        if crosses(blocks):
+            continue
+        if labels is not None and any(len({labels[x - 1] for x in b}) > 1 for b in blocks):
+            continue
+        term = Fraction(1)
+        for b in blocks:
+            term *= values.get(tuple(letters[x - 1] for x in b), 0)
+        total += term
+    return total
+
+
+def kreweras_by_crossing(blocks, k, crosses):
+    """Kreweras complement K(sigma) of a non-crossing sigma of {1..k}, as sorted
+    blocks.  Interleave 1 < 1' < 2 < 2' < ... (x at 2x - 1, x' at 2x): x' and y'
+    share a block of K(sigma) iff adding the pair {x', y'} to sigma does not
+    cross.  This is the relation of the coarsest tau with sigma u tau
+    non-crossing."""
+    sigma = [tuple(2 * x - 1 for x in b) for b in blocks]
+    parent = list(range(k + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in itertools.combinations(range(1, k + 1), 2):
+        if not crosses(sigma + [(2 * x, 2 * y)]):
+            parent[find(y)] = find(x)
+    groups = {}
+    for x in range(1, k + 1):
+        groups.setdefault(find(x), []).append(x)
+    return sorted(tuple(g) for g in groups.values())

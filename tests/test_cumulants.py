@@ -16,10 +16,14 @@ from qperm.cumulants import (
     moments_to_cumulants,
     nested_eval,
 )
+from qperm.acceptance import (
+    _crosses_by_definition as crosses_by_definition,
+    _partitions_by_function_kernels as partitions_by_function_kernels,
+)
 from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.partitions import SetPartition, enumerate_nc
 
-from _oracles import nc_moment_sum
+from _oracles import nc_block_sum, nc_moment_sum
 
 P = SetPartition.from_text
 
@@ -310,6 +314,61 @@ class TestFreenessCheck:
         mf = MomentFunctional(("a",), 4, moments)
         verdict = freeness_check(mf, {"a": 1})
         assert verdict.free
+
+
+class TestScalarBlockProducts:
+    """The scalar sums against a brute-force sum over P(k), with crossing
+    partitions dropped by the definition of a crossing."""
+
+    @staticmethod
+    def values_with_zeros(rng, k_max, alphabet=("a", "b")):
+        values = {}
+        for s in range(1, k_max + 1):
+            for word in itertools.product(alphabet, repeat=s):
+                # about half of the values are 0, the others as often negative as positive
+                values[word] = Fraction(rng.randint(-4, 4) * rng.randint(0, 1), rng.randint(1, 5))
+        return values
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_moments_match_brute_force_over_p_k(self, k):
+        rng = random.Random(400 + k)
+        partitions = sorted(partitions_by_function_kernels(k))
+        for _ in range(4):
+            values = self.values_with_zeros(rng, k)
+            spec = CumulantSpec(("a", "b"), k, values)
+            letters = tuple(rng.choice("ab") for _ in range(k))
+            labels = tuple(rng.randint(1, 3) for _ in range(k))
+            assert cumulants_to_moments(spec, letters) == nc_block_sum(
+                values, letters, partitions, crosses_by_definition
+            )
+            assert free_iid_moment(spec, letters, labels) == nc_block_sum(
+                values, letters, partitions, crosses_by_definition, labels
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_moment_nested_is_the_block_product(self, k):
+        rng = random.Random(500 + k)
+        moments = self.values_with_zeros(rng, k)
+        mf = MomentFunctional(("a", "b"), k, moments)
+        word = tuple(rng.choice("ab") for _ in range(k))
+        for blocks in partitions_by_function_kernels(k):
+            pi = SetPartition(blocks)
+            if crosses_by_definition(blocks):
+                with pytest.raises(DomainError):
+                    moment_nested(mf, pi, word)
+            else:
+                expected = nc_block_sum(moments, word, [blocks], crosses_by_definition)
+                assert moment_nested(mf, pi, word) == expected
+
+    def test_missing_word_raises_after_a_zero_block(self):
+        # ("b",) is undefined; the block before it has moment 0
+        mf = MomentFunctional(("a", "b"), 3, {("a",): Fraction(0), ("a", "a"): Fraction(0)})
+        with pytest.raises(DomainError):
+            moment_nested(mf, P("1|2"), ("a", "b"))
+        with pytest.raises(DomainError):
+            moment_nested(mf, P("1,3|2"), ("a", "b", "a"))
+        with pytest.raises(DomainError):
+            moments_to_cumulants(mf, SetPartition.full(2), ("a", "b"))
 
 
 class TestMatrixLayer:

@@ -233,6 +233,13 @@ class TestUrnMoments:
                         raw += weight * haar_moment(n, i_word, j)
                 assert urn_moment_quantum(model, j) == raw
 
+    def test_model_hash_is_structural(self):
+        a = UrnModel(3, [1, Fraction(1, 2), 0])
+        b = UrnModel(3, (Fraction(1), Fraction(2, 4), Fraction(0)))
+        assert a == b and hash(a) == hash(b)
+        assert a != UrnModel(3, [1, 0, Fraction(1, 2)])
+        assert _injection_weight(a, P("1,2|3")) is _injection_weight(b, P("1,2|3"))
+
     def test_classical_examples(self):
         assert urn_moment_classical(UrnModel(2, [1, 0]), (1, 2)) == 0
         model = UrnModel(3, [Fraction(1, 2)] * 3)

@@ -1,4 +1,6 @@
 import itertools
+import logging
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.partitions import (
     SetPartition,
+    _nc_below,
+    _nc_order_data,
     enumerate_nc,
     enumerate_partitions,
     is_noncrossing,
@@ -23,6 +27,8 @@ from qperm.acceptance import (
     _crosses_by_definition as crosses_by_definition,
     _partitions_by_function_kernels as partitions_by_function_kernels,
 )
+
+from _oracles import kreweras_by_crossing, leq_by_block_lookup
 
 P = SetPartition.from_text
 
@@ -247,6 +253,43 @@ class TestKernel:
             assert leq(p, ker) == expected
 
 
+class TestOrderMasks:
+    def test_leq_matches_block_lookup_oracle_on_p5(self):
+        ps = enumerate_partitions(5)
+        for p in ps:
+            for q in ps:
+                assert leq(p, q) == leq_by_block_lookup(p, q)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_nc_order_up_masks_match_block_lookup_oracle(self, k):
+        nc, pos, up = _nc_order_data(k)
+        assert list(nc) == enumerate_nc(k)
+        assert all(pos[p] == a for a, p in enumerate(nc))
+        for a, p in enumerate(nc):
+            expected = sum(1 << b for b, q in enumerate(nc) if leq_by_block_lookup(p, q))
+            assert up[a] == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_nc_below_matches_block_lookup_oracle(self, k):
+        nc = enumerate_nc(k)
+        for ker in enumerate_partitions(k):
+            expected = tuple(a for a, p in enumerate(nc) if leq_by_block_lookup(p, ker))
+            assert _nc_below(ker) == expected
+
+    def test_nc_below_refuses_k_above_k_max(self):
+        with pytest.raises(BoundError):
+            _nc_below(SetPartition.singletons(9))
+
+    def test_nc_order_build_logs_one_debug_record(self, caplog):
+        logger = logging.getLogger("qperm.partitions")
+        assert not logger.isEnabledFor(logging.DEBUG)
+        with caplog.at_level(logging.DEBUG, logger="qperm.partitions"):
+            _nc_order_data.__wrapped__(4)
+        records = [r for r in caplog.records if r.name == "qperm.partitions"]
+        assert len(records) == 1
+        assert records[0].getMessage().startswith("NC order k=4 N=14 seconds=")
+
+
 class TestMobius:
     def test_diagonal(self):
         for k in (1, 2, 3, 4):
@@ -285,3 +328,17 @@ class TestMobius:
     def test_crossing_input_rejected(self):
         with pytest.raises(DomainError):
             mobius_nc(P("1,3|2,4"), SetPartition.full(4))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_mobius_to_top_is_kreweras_catalan_product(self, k):
+        # mu(sigma, 1_k) = prod over blocks V of the Kreweras complement K(sigma)
+        # of (-1)^{|V|-1} Cat(|V|-1) (Nica-Speicher, Lecture 10); K(sigma) comes
+        # from the brute-force crossing test, |K(sigma)| = k + 1 - |sigma|
+        top = SetPartition.full(k)
+        for sigma in enumerate_nc(k):
+            comp = kreweras_by_crossing(sigma.blocks, k, crosses_by_definition)
+            assert len(comp) == k + 1 - sigma.block_count()
+            expected = 1
+            for v in comp:
+                expected *= (-1) ** (len(v) - 1) * math.comb(2 * len(v) - 2, len(v) - 1) // len(v)
+            assert mobius_nc(sigma, top) == expected

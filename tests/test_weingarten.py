@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import logging
 import math
@@ -159,6 +160,29 @@ class TestWeingarten:
                     check_inverse(k, n)
             else:
                 assert check_inverse(k, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_elimination_finds_the_singular_cells(self, k):
+        # _adjugate refuses the singular cells before eliminating; the
+        # elimination on its own must find the same cells by a zero pivot
+        for n in range(1, 4):
+            singular = (n == 1 and k >= 2) or (n == 2 and k >= 3) or (n == 3 and k >= 5)
+            if singular:
+                with pytest.raises(SingularGramError):
+                    _bareiss_inverse(gram(k, n).entries, k, n)
+            else:
+                assert _bareiss_inverse(gram(k, n).entries, k, n) == _adjugate(k, n)
+
+    def test_singular_cells_are_refused_before_elimination(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("eliminated a singular cell")
+
+        # the package exports a function named weingarten, which hides the module
+        module = importlib.import_module("qperm.weingarten")
+        monkeypatch.setattr(module, "_bareiss_inverse", no_elimination)
+        for k, n in [(2, 1), (8, 1), (3, 2), (8, 2), (5, 3), (8, 3)]:
+            with pytest.raises(SingularGramError):
+                _adjugate.__wrapped__(k, n)
 
     def test_elimination_logs_one_debug_record(self, caplog):
         logger = logging.getLogger("qperm.weingarten")
