@@ -15,17 +15,27 @@ unital C*-algebra.
 
 import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from .cumulants import CumulantSpec, MomentFunctional, free_iid_moment, moments_to_cumulants
 from .errors import BoundError, DimensionError, DomainError, InvariantViolation
-from .partitions import SetPartition, enumerate_partitions, kernel, leq
-from .weingarten import dk_value, haar_kernel_moment
+from .partitions import (
+    SetPartition,
+    _check_k,
+    _nc_below,
+    enumerate_nc,
+    enumerate_partitions,
+    kernel,
+    leq,
+)
+from .weingarten import _adjugate, dk_value
 
 DEFAULT_TOL = 1e-9
 
@@ -331,7 +341,18 @@ class UrnModel:
         return self._hash
 
     def marginal_moment(self, p):
-        return sum(x**p for x in self.lam) / self.n
+        denominator, sums = _power_sums(self, p)
+        return Fraction(sums[p], denominator**p * self.n)
+
+
+@lru_cache(maxsize=None)
+def _power_sums(model, m_max):
+    """(D, (S_0, ..., S_m_max)) in integers: D is the lcm of the weights'
+    denominators and S_m = sum_i (D lambda_i)^m, so that the power sum
+    p_m = sum_i lambda_i^m is S_m / D^m."""
+    denominator = math.lcm(*(x.denominator for x in model.lam))
+    counts = Counter(x.numerator * (denominator // x.denominator) for x in model.lam).items()
+    return denominator, tuple(sum(c * v**m for v, c in counts) for m in range(m_max + 1))
 
 
 @lru_cache(maxsize=None)
@@ -342,44 +363,65 @@ def _injection_weight(model, tau):
     p_m = sum_i lambda_i^m as sum_sigma mu(0, sigma) prod_{S in sigma} p_{|S|},
     with mu(0, sigma) = prod_S (-1)^{|S|-1} (|S|-1)! and |S| the number of
     positions in the blocks of S: Bell(b) terms, whatever the number of
-    distinct weights."""
-    counts = Counter(model.lam).items()
+    distinct weights.  The |S| of each term add up to k, so the sum runs over
+    the integers S_|S| and is divided by D^k once."""
+    denominator, sums = _power_sums(model, tau.ground_size)
     sizes = [len(b) for b in tau.blocks]
-    power_sum = [sum(c * v**m for v, c in counts) for m in range(tau.ground_size + 1)]
-    total = Fraction(0)
+    total = 0
     for sigma in enumerate_partitions(len(sizes)):
         term = 1
         for s in sigma.blocks:
             term *= (-1) ** (len(s) - 1) * math.factorial(len(s) - 1)
-            term *= power_sum[sum(sizes[i - 1] for i in s)]
+            term *= sums[sum(sizes[i - 1] for i in s)]
         total += term
-    return total
+    return Fraction(total, denominator**tau.ground_size)
+
+
+@lru_cache(maxsize=None)
+def _urn_vector(model, k):
+    """(r, den) in integers, with the quantum urn moment at a word j of
+    length k equal to sum_{q in NC(k), q <= ker j} r(q) / den, for n >= 4.
+
+    The sum over index words i with p <= ker i of lambda_{i1}...lambda_{ik}
+    is prod_{V in p} p_{|V|} = w(p) / D^k, with w(p) = prod_{V in p} S_{|V|}.
+    Summing the Haar formula sum_{p <= ker i, q <= ker j} W(p, q) over i
+    with these weights, and W = adj G_kn / det G_kn, gives r = w^T adj and
+    den = D^k det.  adj is symmetric, so r(q) is the dot product of row q
+    of adj with w."""
+    adj, det = _adjugate(k, model.n)
+    start = time.perf_counter()
+    denominator, sums = _power_sums(model, k)
+    weights = [math.prod(sums[len(b)] for b in p.blocks) for p in enumerate_nc(k)]
+    vector = tuple(sum(map(mul, row, weights)) for row in adj)
+    # imported here, so that `import qperm` does not pay for the logging package
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "urn vector k=%d n=%d N=%d seconds=%.4f",
+        k, model.n, len(vector), time.perf_counter() - start,
+    )
+    return vector, denominator**k * det
 
 
 def urn_moment_quantum(model, j_word):
     """Haar-state moment of the noncommutative urn at the word j.
 
-    Grouped by the kernel of the summation index: the Haar value of a
-    generator word depends on i only through ker i, so the n^k sum
-    collapses to a sum over P(k) weighted by injection counts.  tau is the
-    kernel of the index words it stands for, so the Haar value is taken at
-    tau and ker j directly.
+    The Haar value of a generator word depends on the index word i only
+    through ker i, and the weights of the index words with p <= ker i sum
+    to a product of power sums of lambda.  So for n >= 4 the moment is a
+    sum, over the q in NC(k) below ker j, of one integer vector per
+    (model, k), divided by one integer (see `_urn_vector`).  For n <= 3
+    the quantum permutation group is S_n and the moment is the classical
+    one.  Words of length 0 or above K_MAX are refused at every n.
     """
     j_word = tuple(j_word)
-    k = len(j_word)
     if not all(1 <= x <= model.n for x in j_word):
         raise BoundError(f"labels out of range 1..{model.n}: {j_word}")
-    taus = enumerate_partitions(k)
-    ker_j = kernel(j_word)
-    total = Fraction(0)
-    for tau in taus:
-        if tau.block_count() > model.n:
-            continue
-        weight = _injection_weight(model, tau)
-        if weight == 0:
-            continue
-        total += weight * haar_kernel_moment(model.n, tau, j_word, ker_j)
-    return total
+    _check_k(len(j_word))
+    if model.n <= 3:
+        return urn_moment_classical(model, j_word)
+    vector, den = _urn_vector(model, len(j_word))
+    return Fraction(sum(vector[q] for q in _nc_below(kernel(j_word))), den)
 
 
 def urn_moment_classical(model, j_word):
@@ -433,7 +475,9 @@ def definetti_gap(model, j_word):
 
     The comparison free i.i.d. family has cumulants derived from the
     single-variable marginal, so that the two sides agree on one-letter
-    moments; the gap must stay below d_k(n)/n.
+    moments.  The gap must stay below d_k(n)/n for weights in [-1, 1]; both
+    sides are homogeneous of degree k in lambda, so the bound is
+    d_k(n)/n * max(1, max_i |lambda_i|)^k.
     """
     j_word = tuple(j_word)
     k = len(j_word)
@@ -441,10 +485,12 @@ def definetti_gap(model, j_word):
     urn = urn_moment_quantum(model, j_word)
     free = free_iid_moment(spec, ("x",) * k, j_word)
     gap = abs(urn - free)
-    bound = dk_value(k, [model.n]).max_value / model.n
+    scale = max(1, max(abs(x) for x in model.lam)) ** k
+    bound = dk_value(k, [model.n]).max_value / model.n * scale
     if gap > bound:
         raise InvariantViolation(
-            f"de Finetti gap {gap} exceeds d_k(n)/n = {bound} at n={model.n}, j={j_word}"
+            f"de Finetti gap {gap} exceeds d_k(n)/n * {scale} = {bound} "
+            f"at n={model.n}, j={j_word}"
         )
     return GapReport(
         n=model.n,

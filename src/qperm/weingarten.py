@@ -85,9 +85,28 @@ def parse_rational(text):
 @lru_cache(maxsize=None)
 def _join_exponents(k):
     """|p v q| for every pair of NC(k) in canonical order; n enters G_kn only
-    as the base raised to these exponents."""
-    nc = enumerate_nc(k)
-    return tuple(tuple(join(p, q).block_count() for q in nc) for p in nc)
+    as the base raised to these exponents.
+
+    Blocks are k-bit masks.  Starting from the blocks of p, each block of q
+    is merged with every group it overlaps; the groups left are the blocks
+    of p v q.  The table is symmetric, so only its upper half is merged."""
+    masks = [tuple(sum(1 << (x - 1) for x in b) for b in p.blocks) for p in enumerate_nc(k)]
+    size = len(masks)
+    table = [[0] * size for _ in range(size)]
+    for a, own in enumerate(masks):
+        for b in range(a, size):
+            groups = own
+            for m in masks[b]:
+                merged, rest = m, []
+                for g in groups:
+                    if g & m:
+                        merged |= g
+                    else:
+                        rest.append(g)
+                rest.append(merged)
+                groups = rest
+            table[a][b] = table[b][a] = len(groups)
+    return tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +175,12 @@ def _bareiss_inverse(rows, k, n):
     return adj, det
 
 
+#: Largest k for which Weingarten tables are built.  The elimination costs
+#: about N^3 long-integer operations on N = Cat(k) rows, and N goes from 429
+#: at k = 7 to 1430 at k = 8: about 37 times the k = 7 work.
+W_K_MAX = 7
+
+
 # G_kn is singular exactly for n = 1, k >= 2; n = 2, k >= 3; n = 3, k >= 5;
 # never for n >= 4.  Di Francesco's meander determinant is
 # det G_kn = n^{Cat(k)/2} prod_{m=1..k} U_m(sqrt n)^{a_{k,m}} with every
@@ -167,10 +192,16 @@ _SINGULAR_FROM_K = {1: 2, 2: 3, 3: 5}
 @lru_cache(maxsize=None)
 def _adjugate(k, n):
     """(adj G_kn, det G_kn) in integers, built once per (k, n).  A singular
-    G_kn raises SingularGramError before any elimination."""
+    G_kn raises SingularGramError, and k > W_K_MAX raises BoundError, both
+    before any elimination."""
     _check_kn(k, n)
     if k >= _SINGULAR_FROM_K.get(n, K_MAX + 1):
         raise SingularGramError(k, n)
+    if k > W_K_MAX:
+        raise BoundError(
+            f"k={k}: Weingarten tables are built for k <= {W_K_MAX} only "
+            f"(the k={k} elimination would run for minutes)"
+        )
     return _bareiss_inverse(gram(k, n).entries, k, n)
 
 

@@ -81,6 +81,22 @@ def injection_weight_by_assignment(lam, tau):
     return total
 
 
+def quantum_urn_by_kernel_loop(n, weight_of, j_word, enumerate_partitions, kernel, haar_kernel_moment):
+    """Quantum urn moment as a sum over the kernels tau in P(k) of the index
+    words: weight_of(tau) = m_lambda(tau) times the Haar value of a word with
+    kernel tau against j.  One Haar call per tau; tau with more blocks than
+    weights have no injection."""
+    ker_j = kernel(j_word)
+    total = Fraction(0)
+    for tau in enumerate_partitions(len(j_word)):
+        if tau.block_count() > n:
+            continue
+        weight = weight_of(tau)
+        if weight:
+            total += weight * haar_kernel_moment(n, tau, j_word, ker_j)
+    return total
+
+
 def classical_urn_by_permutations(lam, j_word):
     """Classical urn moment as the average over all n! orderings of lambda."""
     total = Fraction(0)

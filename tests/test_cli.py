@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,12 @@ class TestWeingartenCli:
         assert code == 0
         rows = list(csv_mod.reader(io.StringIO(out)))
         assert rows == [["1|2", "1/12", "-1/12"], ["1,2", "-1/12", "1/3"]]
+
+    def test_k8_table_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["weingarten", "table", "--k", "8", "--n", "5"]) == 1
+        assert time.perf_counter() - start < 5
+        assert "k <= 7" in capsys.readouterr().err
 
     def test_singular_is_usage_error_with_parameters(self, capsys):
         code = main(["weingarten", "table", "--k", "2", "--n", "1"])
@@ -204,6 +211,11 @@ class TestUrnCli:
         assert code == 0
         results = report["results"]
         assert parse_rational(results["gap"]) <= parse_rational(results["bound"])
+
+    def test_gap_outside_unit_weights(self, capsys):
+        code, report = run_json(capsys, "urn", "gap", "--n", "4", "--lam", "5,0,0,0", "--j", "1,2")
+        assert code == 0
+        assert report["results"]["gap"] == "25/16"
 
     def test_rational_weights(self, capsys):
         code, report = run_json(

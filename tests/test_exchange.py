@@ -1,4 +1,7 @@
+import functools
+import importlib
 import itertools
+import logging
 import math
 import random
 from fractions import Fraction
@@ -11,6 +14,7 @@ from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.exchange import (
     MagicUnitary,
     _injection_weight,
+    _urn_vector,
     UrnModel,
     all_permutation_magic_unitaries,
     bernoulli_moments,
@@ -31,8 +35,13 @@ from qperm.exchange import (
 )
 from qperm.cumulants import MomentFunctional
 from qperm.partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partitions, kernel, leq
+from qperm.weingarten import haar_kernel_moment
 
-from _oracles import classical_urn_by_permutations, injection_weight_by_assignment
+from _oracles import (
+    classical_urn_by_permutations,
+    injection_weight_by_assignment,
+    quantum_urn_by_kernel_loop,
+)
 
 P = SetPartition.from_text
 
@@ -209,8 +218,55 @@ class TestUrnMoments:
                 assert urn_moment_quantum(model, relabeled) == base
 
     def test_small_n_uses_symmetric_group_branch(self):
-        model = UrnModel(n=3, lam=[1, 1, 0])
-        assert urn_moment_quantum(model, (1, 2)) == urn_moment_classical(model, (1, 2))
+        # S_n^+ = S_n for n <= 3: every word of length <= 5
+        for lam in ([Fraction(-2, 3)], [1, Fraction(1, 2)], [1, 1, 0], [Fraction(3, 2), -1, Fraction(1, 5)]):
+            model = UrnModel(len(lam), lam)
+            for k in range(1, 6):
+                for j in itertools.product(range(1, model.n + 1), repeat=k):
+                    assert urn_moment_quantum(model, j) == urn_moment_classical(model, j)
+
+    def test_nc_vector_matches_kernel_loop_oracle(self):
+        # the sum over P(k) with one Haar call per kernel, on signed rational
+        # weights with denominators > 1, ties and more blocks than weights
+        rng = random.Random(61)
+        for n in range(1, 13):
+            pool = [Fraction(rng.randint(-3, 3), rng.randint(2, 5)) for _ in range(min(n, 3))]
+            model = UrnModel(n, [rng.choice(pool) for _ in range(n)])
+            weight_of = functools.cache(lambda tau, lam=model.lam: injection_weight_by_assignment(lam, tau))
+            for k in range(1, 7):
+                for _ in range(2):
+                    j = tuple(rng.randint(1, n) for _ in range(k))
+                    expected = quantum_urn_by_kernel_loop(
+                        n, weight_of, j, enumerate_partitions, kernel, haar_kernel_moment
+                    )
+                    assert urn_moment_quantum(model, j) == expected
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_quantum_refuses_empty_and_long_words(self, n):
+        model = UrnModel(n, [1] * n)
+        with pytest.raises(BoundError):
+            urn_moment_quantum(model, ())
+        with pytest.raises(BoundError):
+            urn_moment_quantum(model, (1,) * (K_MAX + 1))
+
+    def test_quantum_refuses_k8_before_elimination(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("started the k = 8 elimination")
+
+        module = importlib.import_module("qperm.weingarten")
+        monkeypatch.setattr(module, "_bareiss_inverse", no_elimination)
+        with pytest.raises(BoundError, match="k <= 7"):
+            urn_moment_quantum(UrnModel(5, [1, Fraction(1, 2), 0, 0, 0]), (1,) * 8)
+
+    def test_urn_vector_logs_one_debug_record(self, caplog):
+        model = UrnModel(5, [1, Fraction(1, 3), 0, 0, -1])
+        logger = logging.getLogger("qperm.exchange")
+        assert not logger.isEnabledFor(logging.DEBUG)
+        with caplog.at_level(logging.DEBUG, logger="qperm.exchange"):
+            _urn_vector.__wrapped__(model, 3)
+        records = [r for r in caplog.records if r.name == "qperm.exchange"]
+        assert len(records) == 1
+        assert records[0].getMessage().startswith("urn vector k=3 n=5 N=5 seconds=")
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_kernel_grouping_matches_raw_double_sum(self, n):
@@ -361,6 +417,22 @@ class TestDeFinettiGap:
         assert second.values[("x",)] == Fraction(1, 2)
         other = marginal_cumulant_spec(model, 4, letter="y")
         assert other.values == {("y",) * s: v for s, v in enumerate(expected, start=1)}
+
+    def test_bound_scales_with_largest_weight(self):
+        report = definetti_gap(UrnModel(4, [5, 0, 0, 0]), (1, 2))
+        assert report.gap == Fraction(25, 16)
+        assert report.bound == Fraction(4, 3) * 5**2  # d_2(4)/4 * max|lambda|^k
+
+    def test_gap_is_homogeneous_of_degree_k(self):
+        rng = random.Random(71)
+        for _ in range(6):
+            n = rng.randint(4, 8)
+            model = UrnModel(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)])
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(2, 7), rng.randint(1, 3))
+            scaled = UrnModel(n, [c * x for x in model.lam])
+            for k in range(1, 5):
+                j = tuple(rng.randint(1, n) for _ in range(k))
+                assert definetti_gap(scaled, j).gap == abs(c) ** k * definetti_gap(model, j).gap
 
     def test_gap_times_n_bounded_over_sweep(self):
         profile = [1, 1, 0]

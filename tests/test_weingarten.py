@@ -11,6 +11,7 @@ from qperm.partitions import (
     SetPartition,
     enumerate_nc,
     enumerate_partitions,
+    join,
     kernel,
     leq,
     mobius_nc,
@@ -18,6 +19,7 @@ from qperm.partitions import (
 from qperm.weingarten import (
     _adjugate,
     _bareiss_inverse,
+    _join_exponents,
     check_inverse,
     dk_value,
     gram,
@@ -183,6 +185,23 @@ class TestWeingarten:
         for k, n in [(2, 1), (8, 1), (3, 2), (8, 2), (5, 3), (8, 3)]:
             with pytest.raises(SingularGramError):
                 _adjugate.__wrapped__(k, n)
+
+    def test_k8_is_refused_before_elimination(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("started the k = 8 elimination")
+
+        module = importlib.import_module("qperm.weingarten")
+        monkeypatch.setattr(module, "_bareiss_inverse", no_elimination)
+        for n in (4, 5, 12):
+            with pytest.raises(BoundError, match="k <= 7"):
+                _adjugate.__wrapped__(8, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_join_exponents_match_join(self, k):
+        nc = enumerate_nc(k)
+        assert _join_exponents(k) == tuple(
+            tuple(join(p, q).block_count() for q in nc) for p in nc
+        )
 
     def test_elimination_logs_one_debug_record(self, caplog):
         logger = logging.getLogger("qperm.weingarten")
