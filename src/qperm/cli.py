@@ -7,7 +7,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,18 +47,16 @@ class ExperimentConfig:
     k_max: int = K_MAX
     n_range: tuple = (4, 60)  # covers the widest acceptance sweep
     tolerance: float = 1e-9
-    output_format: str = "json"
     seed: int = 20260808
 
     def __post_init__(self):
         if not 1 <= self.k_max <= K_MAX:
             raise QpermError(f"k_max must be in 1..{K_MAX}")
-        if self.n_range[0] > self.n_range[1]:
-            raise QpermError("n_range is empty")
+        if self.n_range[0] != 4 or self.n_range[1] < 4:
+            raise QpermError("n_range must be 4..HI with HI >= 4: the sweeps keep their "
+                             "own starts, and only the top HI trims them")
         if self.tolerance < 0:
             raise QpermError("tolerance must be >= 0")
-        if self.output_format not in ("json", "csv"):
-            raise QpermError(f"unknown output format {self.output_format!r}")
 
 
 def _parse_range(text):
@@ -387,7 +385,6 @@ def cmd_reproduce_all(args):
         k_max=args.k_max,
         n_range=(lo, hi),
         tolerance=args.tol,
-        output_format="csv" if args.csv else "json",
         seed=args.seed,
     )
     results = acceptance.run_all(
@@ -396,12 +393,7 @@ def cmd_reproduce_all(args):
         tolerance=config_obj.tolerance,
         seed=config_obj.seed,
     )
-    config = {
-        "k_max": config_obj.k_max,
-        "n_range": f"{lo}..{hi}",
-        "tolerance": config_obj.tolerance,
-        "seed": config_obj.seed,
-    }
+    config = {**asdict(config_obj), "n_range": f"{lo}..{hi}"}
     all_pass = all(r.passed for r in results)
     if args.csv:
         rows = [

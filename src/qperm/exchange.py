@@ -24,11 +24,11 @@ from operator import mul
 
 import numpy as np
 
-from .cumulants import CumulantSpec, MomentFunctional, free_iid_moment, moments_to_cumulants
+from .cumulants import MomentFunctional, free_iid_moment
 from .errors import BoundError, DimensionError, DomainError, InvariantViolation
 from .partitions import (
-    SetPartition,
     _check_k,
+    _mobius_row,
     _nc_below,
     enumerate_nc,
     enumerate_partitions,
@@ -377,21 +377,26 @@ def _injection_weight(model, tau):
     return Fraction(total, denominator**tau.ground_size)
 
 
+def _nc_weights(model, k):
+    """(D^k, w) in integers, w(p) = prod_{V in p} S_{|V|} over NC(k) in canonical
+    order: the weights of the index words i with p <= ker i sum to w(p) / D^k."""
+    denominator, sums = _power_sums(model, k)
+    weights = tuple(math.prod(sums[len(b)] for b in p.blocks) for p in enumerate_nc(k))
+    return denominator**k, weights
+
+
 @lru_cache(maxsize=None)
 def _urn_vector(model, k):
     """(r, den) in integers, with the quantum urn moment at a word j of
     length k equal to sum_{q in NC(k), q <= ker j} r(q) / den, for n >= 4.
 
-    The sum over index words i with p <= ker i of lambda_{i1}...lambda_{ik}
-    is prod_{V in p} p_{|V|} = w(p) / D^k, with w(p) = prod_{V in p} S_{|V|}.
-    Summing the Haar formula sum_{p <= ker i, q <= ker j} W(p, q) over i
-    with these weights, and W = adj G_kn / det G_kn, gives r = w^T adj and
-    den = D^k det.  adj is symmetric, so r(q) is the dot product of row q
-    of adj with w."""
+    Summing the Haar formula sum_{p <= ker i, q <= ker j} W(p, q) over the
+    index words i with the weights of `_nc_weights`, and W = adj G_kn /
+    det G_kn, gives r = w^T adj and den = D^k det.  adj is symmetric, so
+    r(q) is the dot product of row q of adj with w."""
     adj, det = _adjugate(k, model.n)
     start = time.perf_counter()
-    denominator, sums = _power_sums(model, k)
-    weights = [math.prod(sums[len(b)] for b in p.blocks) for p in enumerate_nc(k)]
+    scale, weights = _nc_weights(model, k)
     vector = tuple(sum(map(mul, row, weights)) for row in adj)
     # imported here, so that `import qperm` does not pay for the logging package
     import logging
@@ -400,7 +405,26 @@ def _urn_vector(model, k):
         "urn vector k=%d n=%d N=%d seconds=%.4f",
         k, model.n, len(vector), time.perf_counter() - start,
     )
-    return vector, denominator**k * det
+    return vector, scale * det
+
+
+@lru_cache(maxsize=None)
+def _free_vector(model, k):
+    """(f, den) in integers, with the free i.i.d. moment of the marginal at
+    a word j of length k equal to sum_{q in NC(k), q <= ker j} f(q) / den.
+
+    The marginal moments m_s = S_s / (D^s n) give m(p) = w(p) / (D^k n^{|p|}),
+    and mu is multiplicative on NC intervals, so the free cumulant
+    kappa_q = sum_{p <= q} mu(p, q) m(p) is f(q) / den with
+    f(q) = sum_p mu(p, q) w(p) n^{k - |p|} and den = D^k n^k."""
+    scale, weights = _nc_weights(model, k)
+    coeffs = [w * model.n ** (k - p.block_count()) for p, w in zip(enumerate_nc(k), weights)]
+    columns = zip(*(_mobius_row(k, a) for a in range(len(coeffs))))
+    return tuple(sum(map(mul, coeffs, column)) for column in columns), scale * model.n**k
+
+
+def _subset_sum(vector, den, j_word):
+    return Fraction(sum(vector[q] for q in _nc_below(kernel(j_word))), den)
 
 
 def urn_moment_quantum(model, j_word):
@@ -420,8 +444,7 @@ def urn_moment_quantum(model, j_word):
     _check_k(len(j_word))
     if model.n <= 3:
         return urn_moment_classical(model, j_word)
-    vector, den = _urn_vector(model, len(j_word))
-    return Fraction(sum(vector[q] for q in _nc_below(kernel(j_word))), den)
+    return _subset_sum(*_urn_vector(model, len(j_word)), j_word)
 
 
 def urn_moment_classical(model, j_word):
@@ -440,26 +463,6 @@ def urn_moment_classical(model, j_word):
     return _injection_weight(model, ker) / math.perm(model.n, ker.block_count())
 
 
-@lru_cache(maxsize=None)
-def _marginal_cumulants(model, k_max):
-    # the cumulant values, not the spec: a CumulantSpec holds a mutable dict
-    word = ("x",)
-    moments = {word * p: model.marginal_moment(p) for p in range(1, k_max + 1)}
-    mf = MomentFunctional(alphabet=word, k_max=k_max, moments=moments)
-    return tuple(
-        moments_to_cumulants(mf, SetPartition.full(s), word * s) for s in range(1, k_max + 1)
-    )
-
-
-def marginal_cumulant_spec(model, k_max, letter="x"):
-    """Free cumulants of the single-variable marginal m_p = (1/n) sum lambda_i^p."""
-    values = {
-        (letter,) * s: value
-        for s, value in enumerate(_marginal_cumulants(model, k_max), start=1)
-    }
-    return CumulantSpec(alphabet=(letter,), k_max=k_max, values=values)
-
-
 @dataclass(frozen=True)
 class GapReport:
     n: int
@@ -473,17 +476,19 @@ class GapReport:
 def definetti_gap(model, j_word):
     """Distance of the quantum urn from its marginal-matched free model.
 
-    The comparison free i.i.d. family has cumulants derived from the
-    single-variable marginal, so that the two sides agree on one-letter
-    moments.  The gap must stay below d_k(n)/n for weights in [-1, 1]; both
+    The free i.i.d. side has the free cumulants of the marginal
+    m_s = (1/n) sum_i lambda_i^s.  Each side is a subset sum over the q in
+    NC(k) below ker j, of the urn vector (adj G_kn; the classical urn for
+    n <= 3) or of the Moebius vector `_free_vector`, so the gap is their
+    difference.  It must stay below d_k(n)/n for weights in [-1, 1]; both
     sides are homogeneous of degree k in lambda, so the bound is
-    d_k(n)/n * max(1, max_i |lambda_i|)^k.
+    d_k(n)/n * max(1, max_i |lambda_i|)^k.  Words of length 0 or above
+    K_MAX are refused before any vector is built.
     """
     j_word = tuple(j_word)
     k = len(j_word)
-    spec = marginal_cumulant_spec(model, k)
     urn = urn_moment_quantum(model, j_word)
-    free = free_iid_moment(spec, ("x",) * k, j_word)
+    free = _subset_sum(*_free_vector(model, k), j_word)
     gap = abs(urn - free)
     scale = max(1, max(abs(x) for x in model.lam)) ** k
     bound = dk_value(k, [model.n]).max_value / model.n * scale
@@ -517,38 +522,39 @@ def cesaro_variance(spec, n, letter="c", star=None):
     return total / n**2
 
 
+def _label_functional(n, k_max, value):
+    """MomentFunctional on the labels 1..n holding value(labels) at every
+    label word of length 1..k_max."""
+    moments = {
+        labels: value(labels)
+        for k in range(1, k_max + 1)
+        for labels in itertools.product(range(1, n + 1), repeat=k)
+    }
+    return MomentFunctional(alphabet=tuple(range(1, n + 1)), k_max=k_max, moments=moments)
+
+
 def free_iid_functional(spec, n, k_max, letter="c"):
     """Joint moments of n free copies of one variable, indexed by labels."""
-    moments = {}
-    for k in range(1, k_max + 1):
-        for labels in itertools.product(range(1, n + 1), repeat=k):
-            moments[labels] = free_iid_moment(spec, (letter,) * k, labels)
-    return MomentFunctional(alphabet=tuple(range(1, n + 1)), k_max=k_max, moments=moments)
+    return _label_functional(
+        n, k_max, lambda labels: free_iid_moment(spec, (letter,) * len(labels), labels)
+    )
 
 
 def urn_functional(model, k_max):
     """Joint moments of the noncommutative urn sequence, indexed by labels."""
-    moments = {}
-    for k in range(1, k_max + 1):
-        for labels in itertools.product(range(1, model.n + 1), repeat=k):
-            moments[labels] = urn_moment_quantum(model, labels)
-    return MomentFunctional(
-        alphabet=tuple(range(1, model.n + 1)), k_max=k_max, moments=moments
-    )
+    return _label_functional(model.n, k_max, lambda labels: urn_moment_quantum(model, labels))
 
 
 def tensor_iid_functional(single_moments, n, k_max):
     """Joint moments of classically independent identically distributed
     commuting variables: the moment of a word is the product over labels of
     the marginal moment at that label's multiplicity."""
-    moments = {}
-    for k in range(1, k_max + 1):
-        for labels in itertools.product(range(1, n + 1), repeat=k):
-            value = Fraction(1)
-            for label in set(labels):
-                value *= single_moments[labels.count(label)]
-            moments[labels] = value
-    return MomentFunctional(alphabet=tuple(range(1, n + 1)), k_max=k_max, moments=moments)
+
+    def value(labels):
+        multiplicities = map(labels.count, set(labels))
+        return math.prod((single_moments[m] for m in multiplicities), start=Fraction(1))
+
+    return _label_functional(n, k_max, value)
 
 
 def bernoulli_moments(k_max):

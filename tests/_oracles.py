@@ -180,3 +180,27 @@ def kreweras_by_crossing(blocks, k, crosses):
     for x in range(1, k + 1):
         groups.setdefault(find(x), []).append(x)
     return sorted(tuple(g) for g in groups.values())
+
+
+def marginal_free_cumulants(lam, k_max, cumulants, full):
+    """Free cumulants kappa_1..kappa_k_max of the urn marginal, by the public
+    cumulant route: the one-letter moments m_s = (1/n) sum_i lambda_i^s in a
+    MomentFunctional, inverted by moments_to_cumulants at the one-block
+    partition full(s) of each order.  `cumulants` is the qperm.cumulants
+    module."""
+    word = ("x",)
+    moments = {
+        word * s: sum(Fraction(x) ** s for x in lam) / len(lam) for s in range(1, k_max + 1)
+    }
+    mf = cumulants.MomentFunctional(alphabet=word, k_max=k_max, moments=moments)
+    return [cumulants.moments_to_cumulants(mf, full(s), word * s) for s in range(1, k_max + 1)]
+
+
+def free_side_by_cumulants(kappas, j_word, cumulants):
+    """Free i.i.d. moment at the label word j of a variable with the free
+    cumulants kappa_1, kappa_2, ...: a CumulantSpec on one letter, evaluated
+    by free_iid_moment."""
+    k = len(j_word)
+    values = {("x",) * s: kappas[s - 1] for s in range(1, k + 1)}
+    spec = cumulants.CumulantSpec(alphabet=("x",), k_max=k, values=values)
+    return cumulants.free_iid_moment(spec, ("x",) * k, j_word)

@@ -304,6 +304,14 @@ class TestReproduceAll:
         assert by_number[8]["pass"] is False
         assert by_number[1]["pass"] is True
 
+    @pytest.mark.parametrize("n_range", ["10..12", "5..60", "2..8"])
+    def test_refuses_a_bottom_other_than_four(self, capsys, n_range):
+        # the sweeps start at their own n; echoing another LO would misreport the run
+        assert main(["reproduce-all", "--k-max", "2", "--n-range", n_range]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "only the top HI trims them" in captured.err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -346,8 +354,7 @@ class TestUsageErrors:
 
 class TestExperimentConfig:
     def test_validates(self):
-        cfg = ExperimentConfig(k_max=4, n_range=(4, 8), tolerance=0.0)
-        assert cfg.output_format == "json"
+        ExperimentConfig(k_max=4, n_range=(4, 8), tolerance=0.0)
         with pytest.raises(QpermError):
             ExperimentConfig(k_max=0)
         with pytest.raises(QpermError):

@@ -9,11 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qperm.cumulants import CumulantSpec, cumulants_to_moments, moment_nested
-from qperm.errors import BoundError, DimensionError, DomainError
+from qperm import cumulants
+from qperm.cumulants import CumulantSpec, moment_nested
+from qperm.errors import BoundError, DimensionError, DomainError, SingularGramError
 from qperm.exchange import (
     MagicUnitary,
+    _free_vector,
     _injection_weight,
+    _subset_sum,
     _urn_vector,
     UrnModel,
     all_permutation_magic_unitaries,
@@ -24,7 +27,6 @@ from qperm.exchange import (
     definetti_gap,
     free_iid_functional,
     invariance_check,
-    marginal_cumulant_spec,
     permutation_magic_unitary,
     rotated_projection,
     tensor_iid_functional,
@@ -35,11 +37,13 @@ from qperm.exchange import (
 )
 from qperm.cumulants import MomentFunctional
 from qperm.partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partitions, kernel, leq
-from qperm.weingarten import haar_kernel_moment
+from qperm.weingarten import dk_value, haar_kernel_moment
 
 from _oracles import (
     classical_urn_by_permutations,
+    free_side_by_cumulants,
     injection_weight_by_assignment,
+    marginal_free_cumulants,
     quantum_urn_by_kernel_loop,
 )
 
@@ -405,18 +409,50 @@ class TestDeFinettiGap:
         assert report.bound == Fraction(17852, 95)  # d_4(6)/6, frozen from a sweep
         assert isinstance(report.gap, Fraction)
 
-    def test_marginal_cumulant_spec_is_fresh_per_call(self):
+    def test_oracle_gives_bernoulli_cumulants(self):
         # free cumulants of the Bernoulli(1/2) marginal: 1/2, 1/4, 0, -1/16
-        model = UrnModel(6, [1, 1, 1, 0, 0, 0])
-        expected = [Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(-1, 16)]
-        first = marginal_cumulant_spec(model, 4)
-        assert first.values == {("x",) * s: v for s, v in enumerate(expected, start=1)}
-        first.values[("x",)] = Fraction(7)
-        second = marginal_cumulant_spec(model, 4)
-        assert second is not first
-        assert second.values[("x",)] == Fraction(1, 2)
-        other = marginal_cumulant_spec(model, 4, letter="y")
-        assert other.values == {("y",) * s: v for s, v in enumerate(expected, start=1)}
+        kappas = marginal_free_cumulants([1, 1, 1, 0, 0, 0], 4, cumulants, SetPartition.full)
+        assert kappas == [Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(-1, 16)]
+
+    def test_free_side_matches_cumulant_route_oracle(self):
+        # marginal moments -> free cumulants -> CumulantSpec -> free i.i.d.
+        # moment, on signed rational weights with denominators > 1 and ties
+        rng = random.Random(83)
+        singular = 0
+        for n in range(1, 13):
+            for _ in range(2):
+                pool = [Fraction(rng.randint(-4, 4), rng.randint(2, 6)) for _ in range(min(n, 4))]
+                model = UrnModel(n, [rng.choice(pool) for _ in range(n)])
+                kappas = marginal_free_cumulants(model.lam, 6, cumulants, SetPartition.full)
+                scale = max(1, max(abs(x) for x in model.lam))
+                for k in range(1, 7):
+                    for _ in range(3):
+                        j = tuple(rng.randint(1, n) for _ in range(k))
+                        expected = free_side_by_cumulants(kappas, j, cumulants)
+                        try:
+                            report = definetti_gap(model, j)
+                        except SingularGramError:
+                            # d_k(n) needs an invertible G_kn; the free side does not
+                            assert _subset_sum(*_free_vector(model, k), j) == expected
+                            singular += 1
+                            continue
+                        assert report.free_moment == expected
+                        assert report.gap == abs(urn_moment_quantum(model, j) - expected)
+                        assert report.bound == dk_value(k, [n]).max_value / n * scale**k
+        assert singular > 0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_gap_refuses_empty_and_long_words_before_any_vector(self, monkeypatch, n):
+        def no_vector(*args):
+            raise AssertionError("started an NC(k) vector for a refused word")
+
+        module = importlib.import_module("qperm.exchange")
+        monkeypatch.setattr(module, "_nc_weights", no_vector)
+        monkeypatch.setattr(module, "_mobius_row", no_vector)
+        model = UrnModel(n, [1, Fraction(-1, 2)] + [0] * (n - 2))
+        for j in [(), (1,) * (K_MAX + 1)]:
+            with pytest.raises(BoundError):
+                definetti_gap(model, j)
 
     def test_bound_scales_with_largest_weight(self):
         report = definetti_gap(UrnModel(4, [5, 0, 0, 0]), (1, 2))
