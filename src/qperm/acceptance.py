@@ -162,8 +162,10 @@ def criterion_3_lemma_west(k_hi=4, ns=range(4, 61)):
 
 
 def _partitions_by_function_kernels(k):
+    # Kernels of the maps f with f(x) in {0, ..., x - 1}: k! maps, not k^k.
+    # Every partition is the kernel of one of them, f(x) = min(block of x) - 1.
     seen = set()
-    for f in itertools.product(range(k), repeat=k):
+    for f in itertools.product(*(range(x) for x in range(1, k + 1))):
         groups = {}
         for pos, v in enumerate(f, start=1):
             groups.setdefault(v, []).append(pos)

@@ -5,8 +5,12 @@ Everything in this module is exact.  The Gram matrix G_kn, its integer
 adjugate and det G_kn are each built once per (k, n); Haar sums and d_k(n)
 add adjugate integers and divide by det once, and the `Fraction` table
 W_kn is made only for callers that need the rationals.  The inverse is
-certified by an integer-arithmetic identity check.  Tables are indexed by
-NC(k) in the canonical enumeration order and are immutable once built.
+certified by the integer identity G_kn adj = det I, with G_kn applied through
+its factorisation A^T diag((n)_{|tau|}) A over P(k), A[tau][p] = [p <= tau]:
+the certificate reads neither the join exponents nor the Gram table, so it
+also certifies the table that G_kn and the elimination were built from.
+Tables are indexed by NC(k) in the canonical enumeration order and are
+immutable once built.
 """
 
 import itertools
@@ -15,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .errors import BoundError, DomainError, SingularGramError
 from .partitions import (
@@ -24,6 +28,7 @@ from .partitions import (
     _mobius_row,
     _nc_below,
     enumerate_nc,
+    enumerate_partitions,
     join,
     kernel,
     leq,
@@ -215,22 +220,40 @@ def weingarten(k, n):
 
 
 def check_inverse(k, n):
-    """Certify G_kn * adj G_kn = det G_kn * I, every entry in exact integers.
+    """Certify G_kn * adj G_kn = det G_kn * I, every entry in exact integers,
+    without reading G_kn or the join exponents it was built from.
 
-    Row i of G is n^{e(i, l)} over the join exponents e, so row i of the
-    product is a polynomial in n whose coefficient of n^d is the sum of the
-    adjugate rows l with e(i, l) = d; Horner's rule evaluates it."""
+    Counting the maps from the blocks of rho to {1..n} by their kernel gives
+    n^{|rho|} = sum over tau >= rho in P(k) of (n)_{|tau|}, and
+    tau >= p v q iff tau >= p and tau >= q.  So G = A^T D A over P(k), with
+    A[tau][p] = [p <= tau] and D = diag((n)_{|tau|}), and row p of G adj is
+    the sum over tau >= p of s_tau = (n)_{|tau|} * sum_{q <= tau} adj[q].
+    Rows tau with |tau| > n have (n)_{|tau|} = 0 and are skipped."""
+    start = time.perf_counter()
     adj, det = _adjugate(k, n)
     size = len(adj)
-    zero = (0,) * size
-    for i, exponents in enumerate(_join_exponents(k)):
-        product = zero
-        for d in range(k, -1, -1):
-            terms = [adj[l] for l, e in enumerate(exponents) if e == d] or [zero]
-            product = [x * n + s for x, s in zip(product, map(sum, zip(*terms)))]
-        if product != [det if j == i else 0 for j in range(size)]:
-            return False
-    return True
+    product = [[0] * size for _ in range(size)]
+    used = 0
+    for tau in enumerate_partitions(k):
+        factor = math.perm(n, tau.block_count())
+        if not factor:
+            continue
+        used += 1
+        below = _nc_below(tau)
+        s = [factor * x for x in map(sum, zip(*[adj[q] for q in below]))]
+        for p in below:
+            product[p] = list(map(add, product[p], s))
+    ok = all(
+        row == [det if j == i else 0 for j in range(size)] for i, row in enumerate(product)
+    )
+    # imported here, so that `import qperm` does not pay for the logging package
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "certificate k=%d n=%d N=%d rows=%d seconds=%.4f",
+        k, n, size, used, time.perf_counter() - start,
+    )
+    return ok
 
 
 def _haar_average_over_sn(n, i, j):

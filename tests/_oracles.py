@@ -142,6 +142,18 @@ def leq_by_block_lookup(p, q):
     return all(len({where[x] for x in b}) == 1 for b in p.blocks)
 
 
+def partitions_by_all_function_kernels(k):
+    """P(k) from the definition: the kernels of all k^k maps {1..k} -> {1..k},
+    each as its sorted tuple of blocks."""
+    seen = set()
+    for f in itertools.product(range(k), repeat=k):
+        groups = {}
+        for pos, v in enumerate(f, start=1):
+            groups.setdefault(v, []).append(pos)
+        seen.add(tuple(sorted(tuple(b) for b in groups.values())))
+    return seen
+
+
 def nc_block_sum(values, letters, partitions, crosses, labels=None):
     """Sum over the partitions of {1..k}, given as tuples of blocks, that do not
     cross and, when labels are given, carry one label per block, of the product

@@ -28,7 +28,11 @@ from qperm.acceptance import (
     _partitions_by_function_kernels as partitions_by_function_kernels,
 )
 
-from _oracles import kreweras_by_crossing, leq_by_block_lookup
+from _oracles import (
+    kreweras_by_crossing,
+    leq_by_block_lookup,
+    partitions_by_all_function_kernels,
+)
 
 P = SetPartition.from_text
 
@@ -91,6 +95,11 @@ class TestEnumeration:
         parts = enumerate_partitions(k)
         assert len(parts) == bell
         assert {p.blocks for p in parts} == partitions_by_function_kernels(k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_function_kernel_oracle_reaches_every_kernel_of_all_maps(self, k):
+        # the k! maps with f(x) < x give the same kernels as all k^k maps
+        assert partitions_by_function_kernels(k) == partitions_by_all_function_kernels(k)
 
     def test_nc_k2(self):
         assert enumerate_nc(2) == [P("1|2"), P("1,2")]

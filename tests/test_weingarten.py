@@ -2,6 +2,7 @@ import importlib
 import itertools
 import logging
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,24 @@ class TestGram:
                 assert t.entries[a][a] == n ** t.index[a].block_count()
                 for b in range(size):
                     assert t.entries[a][b] == t.entries[b][a]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_factors_over_all_partitions(self, k):
+        # n^{|p v q|} counts maps by kernel: the sum over tau >= p, q in P(k)
+        # of (n)_{|tau|}, so G = A^T D A, built here without any join
+        nc = enumerate_nc(k)
+        rows = [
+            (tau.block_count(), [a for a, p in enumerate(nc) if leq(p, tau)])
+            for tau in enumerate_partitions(k)
+        ]
+        for n in range(1, 9):
+            g = [[0] * len(nc) for _ in nc]
+            for blocks, below in rows:
+                factor = math.perm(n, blocks)
+                for a in below:
+                    for b in below:
+                        g[a][b] += factor
+            assert tuple(map(tuple, g)) == gram(k, n).entries
 
     def test_bounds(self):
         with pytest.raises(BoundError):
@@ -213,6 +232,15 @@ class TestWeingarten:
         message = records[0].getMessage()
         assert message.startswith(f"elimination k=3 n=5 N=5 det_bits={det.bit_length()} seconds=")
 
+    def test_certificate_logs_one_debug_record(self, caplog):
+        _adjugate(4, 3)  # built first: the elimination has its own record
+        with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
+            assert check_inverse(4, 3)
+        records = [r for r in caplog.records if r.name == "qperm.weingarten"]
+        assert len(records) == 1
+        # P(4) has 15 partitions; (3)_4 = 0 drops 1|2|3|4
+        assert records[0].getMessage().startswith("certificate k=4 n=3 N=14 rows=14 seconds=")
+
     def test_json_dict_round_trips(self):
         t = weingarten(2, 4)
         d = t.to_json_dict()
@@ -223,6 +251,89 @@ class TestWeingarten:
     def test_rational_str(self):
         assert rational_str(Fraction(-3, 9)) == "-1/3"
         assert rational_str(5) == "5/1"
+
+
+class TestCertificateMutations:
+    """check_inverse must reject a wrong adjugate, a wrong det, and a wrong
+    join table even when G, adj and det were all built from it."""
+
+    @pytest.fixture
+    def module(self, monkeypatch):
+        # the package exports a function named weingarten, which hides the module
+        module = importlib.import_module("qperm.weingarten")
+        yield module
+        monkeypatch.undo()
+        gram.cache_clear()
+        _adjugate.cache_clear()
+
+    def test_reads_neither_the_join_table_nor_gram(self, module, monkeypatch):
+        _adjugate(4, 5)
+
+        def unused(*args):
+            raise AssertionError("the certificate read the table it certifies")
+
+        monkeypatch.setattr(module, "_join_exponents", unused)
+        monkeypatch.setattr(module, "gram", unused)
+        assert module.check_inverse(4, 5)
+
+    def test_rejects_a_join_table_off_by_one(self, module, monkeypatch):
+        good = _join_exponents(4)
+        table = [list(row) for row in good]
+        last = len(table) - 1
+        # 0_4 v 1_4 = 1_4 has one block, not two
+        table[0][last] = table[last][0] = 2
+        bad = tuple(map(tuple, table))
+        monkeypatch.setattr(module, "_join_exponents", lambda k: bad if k == 4 else good)
+        for n in (4, 5, 7):
+            gram.cache_clear()
+            _adjugate.cache_clear()
+            assert not check_inverse(4, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_rejects_one_changed_adjugate_entry(self, module, monkeypatch, k):
+        rng = random.Random(800 + k)
+        for n in (4, 7):
+            adj, det = _adjugate(k, n)
+            size = len(adj)
+            cells = {(0, 0), (size - 1, size - 1)}
+            cells.update((rng.randrange(size), rng.randrange(size)) for _ in range(6))
+            for a, b in sorted(cells):
+                for delta in (1, -1):
+                    rows = [list(row) for row in adj]
+                    rows[a][b] += delta
+                    wrong = (tuple(map(tuple, rows)), det)
+                    monkeypatch.setattr(module, "_adjugate", lambda k, n, wrong=wrong: wrong)
+                    assert not check_inverse(k, n)
+                    monkeypatch.undo()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_rejects_an_adjugate_column_with_the_right_diagonal(self, module, monkeypatch, k):
+        # adding G[b][c] at (a, b) and -G[b][a] at (c, b) keeps (G adj)[b][b]
+        # and changes the rest of column b, as columns a and c of G differ
+        rng = random.Random(900 + k)
+        for n in (4, 7):
+            adj, det = _adjugate(k, n)
+            g = gram(k, n).entries
+            for _ in range(4):
+                a, c = rng.sample(range(len(adj)), 2)
+                b = rng.randrange(len(adj))
+                rows = [list(row) for row in adj]
+                rows[a][b] += g[b][c]
+                rows[c][b] -= g[b][a]
+                wrong = (tuple(map(tuple, rows)), det)
+                monkeypatch.setattr(module, "_adjugate", lambda k, n, wrong=wrong: wrong)
+                assert not check_inverse(k, n)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_rejects_a_changed_det(self, module, monkeypatch, k):
+        for n in (4, 7):
+            adj, det = _adjugate(k, n)
+            for delta in (1, -1):
+                wrong = (adj, det + delta)
+                monkeypatch.setattr(module, "_adjugate", lambda k, n, wrong=wrong: wrong)
+                assert not check_inverse(k, n)
+                monkeypatch.undo()
 
 
 class TestHaarMoment:
@@ -287,6 +398,18 @@ class TestHaarMoment:
                 for j in words:
                     expected = haar_by_fraction_table(table, index, kernel(i), kernel(j), leq)
                     assert haar_moment(n, i, j) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_character_moments_are_catalan(self, k):
+        # the character sum_i u_ii of S_n^+ has the free Poisson law for n >= 4,
+        # so its k-th moment is Cat(k); each kernel tau has (n)_{|tau|} words
+        for n in (4, 5, 6, 9):
+            total = sum(
+                math.perm(n, tau.block_count()) * haar_moment(n, tau.to_word(), tau.to_word())
+                for tau in enumerate_partitions(k)
+                if tau.block_count() <= n
+            )
+            assert total == math.comb(2 * k, k) // (k + 1)
 
     def test_index_out_of_range(self):
         with pytest.raises(BoundError):
