@@ -455,7 +455,7 @@ def criterion_13_small_n_consistency(k_hi=4):
             for i in itertools.product(range(1, n + 1), repeat=k):
                 for j in itertools.product(range(1, n + 1), repeat=k):
                     pairs += 1
-                    got = haar_moment(n, i, j, method="average")
+                    got = haar_moment(n, i, j)
                     if kernel(i) == kernel(j):
                         r = len(set(i))
                         want = Fraction(

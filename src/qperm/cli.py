@@ -221,10 +221,10 @@ def cmd_weingarten_dk(args):
 def cmd_haar_moment(args):
     i = _parse_ints(args.i)
     j = _parse_ints(args.j)
-    value = haar_moment(args.n, i, j, method=args.method)
+    value = haar_moment(args.n, i, j)
     return _emit(
         "haar moment",
-        {"n": args.n, "i": list(i), "j": list(j), "method": args.method},
+        {"n": args.n, "i": list(i), "j": list(j)},
         {"value": rational_str(value)},
         True,
     )
@@ -452,9 +452,6 @@ def build_parser():
     h_mom.add_argument("--n", type=int, required=True)
     h_mom.add_argument("--i", required=True, help="comma-separated row indices")
     h_mom.add_argument("--j", required=True, help="comma-separated column indices")
-    h_mom.add_argument(
-        "--method", choices=("auto", "weingarten", "average"), default="auto"
-    )
     h_mom.set_defaults(handler=cmd_haar_moment)
 
     p_cum = sub.add_parser("cumulants", help="moment-cumulant transforms")

@@ -34,7 +34,7 @@ from .partitions import (
     is_noncrossing,
     kernel,
 )
-from .weingarten import parse_rational, rational_str
+from .weingarten import rational_str
 
 
 @dataclass
@@ -90,7 +90,7 @@ class MomentFunctional:
     def from_json_dict(cls, data):
         alphabet = tuple(data["alphabet"])
         moments = {
-            tuple(key.split(",")): parse_rational(v)
+            tuple(key.split(",")): Fraction(v)
             for key, v in data["moments"].items()
         }
         return cls(alphabet=alphabet, k_max=int(data["k_max"]), moments=moments)
@@ -136,7 +136,7 @@ class CumulantSpec:
     @classmethod
     def from_json_dict(cls, data):
         values = {
-            tuple(key.split(",")): parse_rational(v)
+            tuple(key.split(",")): Fraction(v)
             for key, v in data["cumulants"].items()
         }
         return cls(alphabet=tuple(data["alphabet"]), k_max=int(data["k_max"]), values=values)
@@ -263,21 +263,21 @@ def moment_nested(mf, pi, word):
 
 
 def moments_to_cumulants(mf, pi, word):
-    """Cumulant function at pi by Moebius inversion over NC(k)."""
+    """Cumulant function at pi by Moebius inversion over NC(k); a pi that
+    crosses raises DomainError."""
     word = tuple(word)
     k = len(word)
     if pi.ground_size != k:
         raise DimensionError(
             f"word length {k} differs from ground size {pi.ground_size}"
         )
-    if not is_noncrossing(pi):
-        raise DomainError(f"partition is not non-crossing: {pi}")
     return _mobius_inversion(pi, lambda sigma: _block_product(mf, sigma, word))
 
 
 def _mobius_inversion(pi, nested):
-    """sum over sigma <= pi in NC(k) of mu(sigma, pi) * nested(sigma), for a
-    non-crossing pi; every sigma is non-crossing, so `nested` need not check."""
+    """sum over sigma <= pi in NC(k) of mu(sigma, pi) * nested(sigma); a pi
+    that crosses raises DomainError, and every sigma is non-crossing, so
+    `nested` need not check."""
     total = Fraction(0)
     for sigma, mu in _mobius_below(pi):
         total += mu * nested(sigma)

@@ -254,43 +254,47 @@ def leq(p, q):
     return not p.pairs & ~q.pairs
 
 
+def _block_masks(p):
+    """The blocks of p as k-bit masks, bit x - 1 for element x."""
+    return tuple(sum(1 << (x - 1) for x in b) for b in p.blocks)
+
+
+def _from_masks(masks, k):
+    return SetPartition(
+        ([x + 1 for x in range(k) if m >> x & 1] for m in masks), ground_size=k
+    )
+
+
+def _join_masks(groups, masks):
+    """The blocks of p v q as masks, from the block masks of p (`groups`) and
+    of q (`masks`): each block of q is merged with every group it overlaps,
+    and the groups left are the blocks of the join."""
+    for m in masks:
+        merged, rest = m, []
+        for g in groups:
+            if g & m:
+                merged |= g
+            else:
+                rest.append(g)
+        rest.append(merged)
+        groups = rest
+    return groups
+
+
 def join(p, q):
     """Least upper bound in P(k): transitive closure of the union of the
     block relations.  Not restricted to NC(k) even for non-crossing inputs."""
     _require_same_ground(p, q)
-    k = p.ground_size
-    parent = list(range(k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (p, q):
-        for b in part.blocks:
-            root = find(b[0])
-            for x in b[1:]:
-                rx = find(x)
-                if rx != root:
-                    parent[rx] = root
-    groups = {}
-    for x in range(1, k + 1):
-        groups.setdefault(find(x), []).append(x)
-    return SetPartition(groups.values(), ground_size=k)
+    return _from_masks(_join_masks(_block_masks(p), _block_masks(q)), p.ground_size)
 
 
 def meet(p, q):
     """Greatest lower bound in P(k): blockwise intersections."""
     _require_same_ground(p, q)
-    blocks = []
-    for a in p.blocks:
-        sa = set(a)
-        for b in q.blocks:
-            c = sa & set(b)
-            if c:
-                blocks.append(c)
-    return SetPartition(blocks, ground_size=p.ground_size)
+    other = _block_masks(q)
+    return _from_masks(
+        [a & b for a in _block_masks(p) for b in other if a & b], p.ground_size
+    )
 
 
 def kernel(indices):
@@ -383,13 +387,22 @@ def up_down_interval(k, a, b):
     return up[a] & _down_masks(k)[b]
 
 
-def _mobius_below(pi):
-    """(sigma, mu(sigma, pi)) for every sigma of NC(k) below the non-crossing
-    pi, in enumeration order.  pi is not re-checked; k is bounded by K_MAX."""
-    k = pi.ground_size
+def _nc_index(k, p):
+    """Position of p in NC(k)'s canonical order; k is bounded by K_MAX, and a
+    p that crosses or has another ground size raises DomainError."""
     _check_k(k)
-    nc, pos, _ = _nc_order_data(k)
-    b = pos[pi]
+    try:
+        return _nc_order_data(k)[1][p]
+    except KeyError:
+        raise DomainError(f"{p} is not in NC({k})") from None
+
+
+def _mobius_below(pi):
+    """(sigma, mu(sigma, pi)) for every sigma of NC(k) below pi, in
+    enumeration order; a pi that crosses raises DomainError."""
+    k = pi.ground_size
+    b = _nc_index(k, pi)
+    nc = _all_nc(k)
     bits = _down_masks(k)[b]
     while bits:
         a = (bits & -bits).bit_length() - 1
@@ -397,22 +410,13 @@ def _mobius_below(pi):
         bits &= bits - 1
 
 
-def _require_nc(p):
-    if not is_noncrossing(p):
-        raise DomainError(f"partition is not non-crossing: {p}")
-
-
 def mobius_nc(p, q):
-    """Moebius function of the lattice NC(k), by memoized recursion."""
+    """Moebius function of the lattice NC(k), by memoized recursion; a row
+    is 0 outside the up-set of p."""
     _require_same_ground(p, q)
-    _check_k(p.ground_size)
-    _require_nc(p)
-    _require_nc(q)
-    if not leq(p, q):
-        return 0
     k = p.ground_size
-    _, pos, _ = _nc_order_data(k)
-    return _mobius_row(k, pos[p])[pos[q]]
+    a, b = _nc_index(k, p), _nc_index(k, q)
+    return _mobius_row(k, a)[b]
 
 
 def mobius_nc_chain_count(p, q):
@@ -422,16 +426,14 @@ def mobius_nc_chain_count(p, q):
     open interval, so their length is implicitly bounded by |p| - |q| - 1.
     """
     _require_same_ground(p, q)
-    _check_k(p.ground_size)
-    _require_nc(p)
-    _require_nc(q)
-    if p == q:
+    k = p.ground_size
+    a, b = _nc_index(k, p), _nc_index(k, q)
+    if a == b:
         return 1
     if not leq(p, q):
         return 0
-    k = p.ground_size
-    nc, pos, up = _nc_order_data(k)
-    inner = up_down_interval(k, pos[p], pos[q]) & ~(1 << pos[p]) & ~(1 << pos[q])
+    up = _nc_order_data(k)[2]
+    inner = up_down_interval(k, a, b) & ~(1 << a) & ~(1 << b)
     members = []
     bit = inner
     while bit:

@@ -16,30 +16,30 @@ immutable once built.
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
-from .errors import BoundError, DomainError, SingularGramError
+from .errors import BoundError, SingularGramError
 from .partitions import (
     K_MAX,
     SetPartition,
+    _block_masks,
+    _check_k,
+    _join_masks,
     _mobius_row,
     _nc_below,
+    _nc_index,
     enumerate_nc,
     enumerate_partitions,
-    join,
     kernel,
     leq,
-    mobius_nc,
 )
 
 
-def _check_kn(k, n, k_max=None):
-    limit = K_MAX if k_max is None else k_max
-    if not 1 <= k <= limit:
-        raise BoundError(f"k={k} outside 1..{limit}")
+def _check_kn(k, n):
+    _check_k(k)
     if n < 1:
         raise BoundError(f"n={n} must be >= 1")
 
@@ -54,16 +54,9 @@ class NCTable:
     n: int
     index: tuple
     entries: tuple
-    _position: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_position", {p: i for i, p in enumerate(self.index)})
 
     def position(self, p):
-        try:
-            return self._position[p]
-        except KeyError:
-            raise DomainError(f"{p} is not in NC({self.k})") from None
+        return _nc_index(self.k, p)
 
     def entry(self, p, q):
         return self.entries[self.position(p)][self.position(q)]
@@ -83,34 +76,26 @@ def rational_str(q):
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text):
-    return Fraction(text)
-
-
 @lru_cache(maxsize=None)
 def _join_exponents(k):
     """|p v q| for every pair of NC(k) in canonical order; n enters G_kn only
     as the base raised to these exponents.
 
-    Blocks are k-bit masks.  Starting from the blocks of p, each block of q
-    is merged with every group it overlaps; the groups left are the blocks
-    of p v q.  The table is symmetric, so only its upper half is merged."""
-    masks = [tuple(sum(1 << (x - 1) for x in b) for b in p.blocks) for p in enumerate_nc(k)]
+    Blocks are k-bit masks, merged by the join of `partitions`.  The table
+    is symmetric, so only its upper half is merged."""
+    start = time.perf_counter()
+    masks = [_block_masks(p) for p in enumerate_nc(k)]
     size = len(masks)
     table = [[0] * size for _ in range(size)]
     for a, own in enumerate(masks):
         for b in range(a, size):
-            groups = own
-            for m in masks[b]:
-                merged, rest = m, []
-                for g in groups:
-                    if g & m:
-                        merged |= g
-                    else:
-                        rest.append(g)
-                rest.append(merged)
-                groups = rest
-            table[a][b] = table[b][a] = len(groups)
+            table[a][b] = table[b][a] = len(_join_masks(own, masks[b]))
+    # imported here, so that `import qperm` does not pay for the logging package
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "join exponents k=%d N=%d seconds=%.4f", k, size, time.perf_counter() - start
+    )
     return tuple(map(tuple, table))
 
 
@@ -275,24 +260,11 @@ def _haar_weingarten_by_kernels(n, ker_i, ker_j):
     return Fraction(sum(adj[a][b] for a in _nc_below(ker_i) for b in cols), det)
 
 
-def haar_kernel_moment(n, ker_i, j, ker_j):
-    """haar_moment(n, i, j) by the "auto" method, for any word i with kernel
-    ker_i: relabeling i by a permutation of 1..n does not change the value,
-    so it depends on i only through its kernel.  Nothing is checked:
-    ker_j = kernel(j), the entries of j lie in 1..n, ker_i has at most n
-    blocks and the ground size of ker_j, which is at most K_MAX."""
-    if n <= 3:
-        return _haar_average_over_sn(n, ker_i.to_word(), j)
-    return _haar_weingarten_by_kernels(n, ker_i, ker_j)
-
-
-def haar_moment(n, i, j, method="auto"):
-    """Haar-state value of the generator word u_{i1 j1} ... u_{ik jk}.
-
-    method: "auto" picks the S_n average for n <= 3 (where the quantum
-    permutation algebra is commutative) and the Weingarten sum for n >= 4;
-    "weingarten" / "average" force a branch for cross-checking.
-    """
+def haar_moment(n, i, j):
+    """Haar-state value of the generator word u_{i1 j1} ... u_{ik jk}: the
+    S_n average for n <= 3, where the quantum permutation algebra is
+    commutative, and the Weingarten sum over the kernels of i and j for
+    n >= 4."""
     i = tuple(i)
     j = tuple(j)
     if len(i) != len(j):
@@ -300,13 +272,9 @@ def haar_moment(n, i, j, method="auto"):
     _check_kn(len(i), n)
     if not all(1 <= x <= n for x in i) or not all(1 <= x <= n for x in j):
         raise BoundError(f"index out of range 1..{n}: i={i}, j={j}")
-    if method == "auto":
-        return haar_kernel_moment(n, kernel(i), j, kernel(j))
-    if method == "average":
+    if n <= 3:
         return _haar_average_over_sn(n, i, j)
-    if method == "weingarten":
-        return _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
-    raise BoundError(f"unknown method {method!r}")
+    return _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
 
 
 @dataclass(frozen=True)
@@ -337,26 +305,31 @@ def _no_growth(values):
 
 
 def weingarten_asymptotics(k, n_range, p, q):
-    """Sweep n and report the scaled Weingarten entry for a pair (p, q).
+    """Sweep n and report the scaled Weingarten entry for a pair (p, q) of NC(k).
 
     For p <= q the scaled quantity is the residual
     n * (W_kn(p,q) * n^{|p|} - mu_k(p,q)); otherwise it is
-    W_kn(p,q) * n^{|p|+|q|-|p v q|}.  Both stay bounded as n grows.
+    W_kn(p,q) * n^{|p|+|q|-|p v q|}.  Both stay bounded as n grows.  The
+    entries are adj / det from the integer adjugate, and mu and |p v q| are
+    read from the tables that d_k(n) reads; every (k, n) cell is refused
+    (k > W_K_MAX, singular G_kn) before the join table is built.
     """
     ns = sorted(set(n_range))
     if not ns:
         raise BoundError("empty n range")
+    a, b = _nc_index(k, p), _nc_index(k, q)
+    cells = [(n, _adjugate(k, n)) for n in ns]
     comparable = leq(p, q)
     relation = "mobius_residual" if comparable else "scaled_entry"
-    mu = mobius_nc(p, q) if comparable else 0
-    exponent = p.block_count() + q.block_count() - join(p, q).block_count()
+    mu = _mobius_row(k, a)[b]
+    exponent = p.block_count() + q.block_count() - _join_exponents(k)[a][b]
     rows = []
-    for n in ns:
-        w = weingarten(k, n).entry(p, q)
+    for n, (adj, det) in cells:
+        w = Fraction(adj[a][b], det)
         if comparable:
-            scaled = n * (w * Fraction(n) ** p.block_count() - mu)
+            scaled = n * (w * n ** p.block_count() - mu)
         else:
-            scaled = w * Fraction(n) ** exponent
+            scaled = w * n**exponent
         rows.append(AsymptoticsRow(n=n, value=w, scaled=scaled))
     scaled_values = [r.scaled for r in rows]
     return AsymptoticsReport(

@@ -81,19 +81,18 @@ def injection_weight_by_assignment(lam, tau):
     return total
 
 
-def quantum_urn_by_kernel_loop(n, weight_of, j_word, enumerate_partitions, kernel, haar_kernel_moment):
+def quantum_urn_by_kernel_loop(n, weight_of, j_word, enumerate_partitions, haar_moment):
     """Quantum urn moment as a sum over the kernels tau in P(k) of the index
-    words: weight_of(tau) = m_lambda(tau) times the Haar value of a word with
-    kernel tau against j.  One Haar call per tau; tau with more blocks than
-    weights have no injection."""
-    ker_j = kernel(j_word)
+    words: weight_of(tau) = m_lambda(tau) times the Haar value of the word
+    tau.to_word() (kernel tau) against j.  One Haar call per tau; tau with
+    more blocks than weights have no injection."""
     total = Fraction(0)
     for tau in enumerate_partitions(len(j_word)):
         if tau.block_count() > n:
             continue
         weight = weight_of(tau)
         if weight:
-            total += weight * haar_kernel_moment(n, tau, j_word, ker_j)
+            total += weight * haar_moment(n, tau.to_word(), j_word)
     return total
 
 
@@ -130,6 +129,67 @@ def dk_by_fraction_table(table, index, n, mobius_nc, leq):
             mu = mobius_nc(p, q) if leq(p, q) else 0
             total += abs(table[a][b] * scale - mu)
     return n * total
+
+
+def join_by_union_find(p, q):
+    """Blocks of p v q in canonical form (sorted by minimum), by union-find
+    over the elements: the union of the block relations, closed."""
+    k = p.ground_size
+    parent = list(range(k + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for part in (p, q):
+        for b in part.blocks:
+            root = find(b[0])
+            for x in b[1:]:
+                rx = find(x)
+                if rx != root:
+                    parent[rx] = root
+    groups = {}
+    for x in range(1, k + 1):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def meet_by_sets(p, q):
+    """Blocks of p ^ q in canonical form: the nonempty intersections of a
+    block of p with a block of q, as sets."""
+    blocks = []
+    for a in p.blocks:
+        for b in q.blocks:
+            c = set(a) & set(b)
+            if c:
+                blocks.append(tuple(sorted(c)))
+    return tuple(sorted(blocks))
+
+
+def asymptotics_by_fraction_table(w_of, ns, p, q, mobius, join_blocks, leq):
+    """The Weingarten residual sweep from Fraction entries w_of(n) = W_kn(p, q):
+    for p <= q the scaled value is n (W n^{|p|} - mu(p, q)), otherwise
+    W n^{|p| + |q| - |p v q|}; bounded means the second half of the sweep
+    never exceeds the first half in absolute value.  Returns (relation,
+    rows as (n, W, scaled), max |scaled|, bounded)."""
+    comparable = leq(p, q)
+    mu = mobius(p, q) if comparable else 0
+    exponent = p.block_count() + q.block_count() - len(join_blocks(p, q))
+    rows = []
+    for n in sorted(set(ns)):
+        w = w_of(n)
+        if comparable:
+            scaled = n * (w * Fraction(n) ** p.block_count() - mu)
+        else:
+            scaled = w * Fraction(n) ** exponent
+        rows.append((n, w, scaled))
+    values = [abs(r[2]) for r in rows]
+    half = len(values) // 2
+    bounded = len(values) < 2 or max(values[half:]) <= max(values[:half])
+    relation = "mobius_residual" if comparable else "scaled_entry"
+    return relation, rows, max(values), bounded
 
 
 def leq_by_block_lookup(p, q):

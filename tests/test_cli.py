@@ -1,15 +1,18 @@
 import json
 import math
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qperm.cli import ExperimentConfig, main
+from qperm.cli import ExperimentConfig, build_parser, main
 from qperm.errors import QpermError
-from qperm.weingarten import parse_rational, rational_str
+from qperm.weingarten import rational_str
 
 
 def run(capsys, *argv):
@@ -117,6 +120,20 @@ class TestHaarCli:
         assert code == 0
         assert report["results"]["value"] == "0/1"
 
+    def test_n13_first_moment_is_fast(self, capsys):
+        # the Weingarten sum at k = 1; an average over 13! permutations would
+        # run for hours
+        start = time.perf_counter()
+        code, report = run_json(capsys, "haar", "moment", "--n", "13", "--i", "1", "--j", "1")
+        assert code == 0
+        assert report["results"]["value"] == "1/13"
+        assert report["config"] == {"n": 13, "i": [1], "j": [1]}
+        assert time.perf_counter() - start < 5
+
+    def test_method_flag_is_gone(self, capsys):
+        assert main(["haar", "moment", "--n", "4", "--i", "1", "--j", "1",
+                     "--method", "average"]) == 1
+
 
 class TestCumulantsCli:
     SPEC = {"alphabet": ["c"], "k_max": 8, "cumulants": {"c,c": "1/1"}}
@@ -210,7 +227,7 @@ class TestUrnCli:
         )
         assert code == 0
         results = report["results"]
-        assert parse_rational(results["gap"]) <= parse_rational(results["bound"])
+        assert Fraction(results["gap"]) <= Fraction(results["bound"])
 
     def test_gap_outside_unit_weights(self, capsys):
         code, report = run_json(capsys, "urn", "gap", "--n", "4", "--lam", "5,0,0,0", "--j", "1,2")
@@ -364,8 +381,25 @@ class TestExperimentConfig:
 
     def test_rational_round_trip(self):
         for q in [Fraction(3, 7), Fraction(-1, 12), Fraction(5), Fraction(0)]:
-            assert parse_rational(rational_str(q)) == q
+            assert Fraction(rational_str(q)) == q
 
     @given(st.fractions())
     def test_rational_round_trip_randomized(self, q):
-        assert parse_rational(rational_str(q)) == q
+        assert Fraction(rational_str(q)) == q
+
+
+class TestReadme:
+    def test_every_documented_command_parses(self):
+        # keeps removed flags and subcommands out of the documentation
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = [
+            line
+            for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+            for line in block.splitlines()
+            if line.startswith("qperm ")
+        ]
+        assert len(lines) >= 14
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            assert callable(args.handler), line

@@ -226,6 +226,16 @@ class TestMomentsToCumulants:
         with pytest.raises(DomainError):
             moments_to_cumulants(mf, P("1,3|2,4"), ("a",) * 4)
 
+    def test_refuses_partitions_outside_nc_k(self):
+        # every word is defined, so only the NC(k) lookup can refuse the
+        # crossing pi; a pi of another ground size fails the length check
+        mf = functional_from_spec(random_spec(random.Random(6), k_max=4), 4)
+        word = ("a", "b", "a", "b")
+        with pytest.raises(DomainError, match=r"not in NC\(4\)"):
+            moments_to_cumulants(mf, P("1,3|2,4"), word)
+        with pytest.raises(DimensionError):
+            moments_to_cumulants(mf, P("1,2|3"), word)
+
 
 class TestFreeIidMoment:
     def test_constant_labels_match_unrestricted_sum(self):

@@ -37,7 +37,7 @@ from qperm.exchange import (
 )
 from qperm.cumulants import MomentFunctional
 from qperm.partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partitions, kernel, leq
-from qperm.weingarten import dk_value, haar_kernel_moment
+from qperm.weingarten import dk_value, haar_moment
 
 from _oracles import (
     classical_urn_by_permutations,
@@ -241,7 +241,7 @@ class TestUrnMoments:
                 for _ in range(2):
                     j = tuple(rng.randint(1, n) for _ in range(k))
                     expected = quantum_urn_by_kernel_loop(
-                        n, weight_of, j, enumerate_partitions, kernel, haar_kernel_moment
+                        n, weight_of, j, enumerate_partitions, haar_moment
                     )
                     assert urn_moment_quantum(model, j) == expected
 
@@ -276,8 +276,6 @@ class TestUrnMoments:
     def test_kernel_grouping_matches_raw_double_sum(self, n):
         # the production path groups the index sum by kernels; recompute a few
         # moments by the unoptimized sum over all n^k index words
-        from qperm.weingarten import haar_moment
-
         rng = random.Random(31)
         lam = [Fraction(rng.randint(0, 4), 4) for _ in range(n)]
         model = UrnModel(n, lam)

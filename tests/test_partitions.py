@@ -29,8 +29,10 @@ from qperm.acceptance import (
 )
 
 from _oracles import (
+    join_by_union_find,
     kreweras_by_crossing,
     leq_by_block_lookup,
+    meet_by_sets,
     partitions_by_all_function_kernels,
 )
 
@@ -233,9 +235,19 @@ class TestLattice:
                 rhs = join(p, q).block_count() + meet(p, q).block_count()
                 assert lhs <= rhs
 
+    def test_join_and_meet_match_oracles_on_p5(self):
+        # union-find join and set-intersection meet, on all 2,704 pairs
+        parts = enumerate_partitions(5)
+        for p in parts:
+            for q in parts:
+                assert join(p, q).blocks == join_by_union_find(p, q)
+                assert meet(p, q).blocks == meet_by_sets(p, q)
+
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             join(P("1,2"), P("1,2|3"))
+        with pytest.raises(DimensionError):
+            meet(P("1,2"), P("1,2|3"))
         with pytest.raises(DimensionError):
             leq(P("1"), P("1|2"))
 
@@ -335,8 +347,13 @@ class TestMobius:
                 assert mobius_nc(p, q) == mobius_nc_chain_count(p, q)
 
     def test_crossing_input_rejected(self):
-        with pytest.raises(DomainError):
-            mobius_nc(P("1,3|2,4"), SetPartition.full(4))
+        crossing, top = P("1,3|2,4"), SetPartition.full(4)
+        for mobius in (mobius_nc, mobius_nc_chain_count):
+            for p, q in [(crossing, top), (top, crossing), (crossing, crossing)]:
+                with pytest.raises(DomainError, match=r"not in NC\(4\)"):
+                    mobius(p, q)
+            with pytest.raises(DimensionError):
+                mobius(SetPartition.full(3), top)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
     def test_mobius_to_top_is_kreweras_catalan_product(self, k):

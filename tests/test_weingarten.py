@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qperm.errors import BoundError, SingularGramError
+from qperm.errors import BoundError, DomainError, SingularGramError
 from qperm.partitions import (
     SetPartition,
     enumerate_nc,
@@ -16,22 +16,31 @@ from qperm.partitions import (
     kernel,
     leq,
     mobius_nc,
+    mobius_nc_chain_count,
 )
 from qperm.weingarten import (
     _adjugate,
     _bareiss_inverse,
+    _haar_average_over_sn,
+    _haar_weingarten_by_kernels,
     _join_exponents,
     check_inverse,
     dk_value,
     gram,
     haar_moment,
-    parse_rational,
     rational_str,
     weingarten,
     weingarten_asymptotics,
 )
 
-from _oracles import dk_by_fraction_table, gauss_jordan_inverse, haar_by_fraction_table
+from _oracles import (
+    asymptotics_by_fraction_table,
+    dk_by_fraction_table,
+    gauss_jordan_inverse,
+    haar_by_fraction_table,
+    join_by_union_find,
+    leq_by_block_lookup,
+)
 
 ZERO2 = SetPartition.singletons(2)
 ONE2 = SetPartition.full(2)
@@ -163,7 +172,7 @@ class TestWeingarten:
         with pytest.raises(SingularGramError):
             weingarten(5, 3)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_det_matches_meander_closed_form(self, k):
         for n in range(1, 9):
             det = meander_det(k, n)
@@ -232,6 +241,15 @@ class TestWeingarten:
         message = records[0].getMessage()
         assert message.startswith(f"elimination k=3 n=5 N=5 det_bits={det.bit_length()} seconds=")
 
+    def test_join_exponents_log_one_debug_record(self, caplog):
+        logger = logging.getLogger("qperm.weingarten")
+        assert not logger.isEnabledFor(logging.DEBUG)
+        with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
+            _join_exponents.__wrapped__(4)
+        records = [r for r in caplog.records if r.name == "qperm.weingarten"]
+        assert len(records) == 1
+        assert records[0].getMessage().startswith("join exponents k=4 N=14 seconds=")
+
     def test_certificate_logs_one_debug_record(self, caplog):
         _adjugate(4, 3)  # built first: the elimination has its own record
         with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
@@ -246,7 +264,7 @@ class TestWeingarten:
         d = t.to_json_dict()
         assert d["index"] == ["1|2", "1,2"]
         assert d["matrix"] == [["1/12", "-1/12"], ["-1/12", "1/3"]]
-        assert parse_rational(d["matrix"][1][1]) == Fraction(1, 3)
+        assert Fraction(d["matrix"][1][1]) == Fraction(1, 3)
 
     def test_rational_str(self):
         assert rational_str(Fraction(-3, 9)) == "-1/3"
@@ -380,13 +398,22 @@ class TestHaarMoment:
     def test_small_n_branches_agree_where_invertible(self, n, k):
         for i in itertools.product(range(1, n + 1), repeat=k):
             for j in itertools.product(range(1, n + 1), repeat=k):
-                avg = haar_moment(n, i, j, method="average")
-                wg = haar_moment(n, i, j, method="weingarten")
+                avg = _haar_average_over_sn(n, i, j)
+                wg = _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
                 assert avg == wg
+
+    def test_small_n_words_on_singular_cells(self):
+        # G_kn is singular at n = 1, k >= 2; n = 2, k >= 3; n = 3, k >= 5, and
+        # haar_moment still answers there by the S_n average:
+        # (n - r)! / n! when kernel i = kernel j has r blocks
+        assert haar_moment(1, (1,) * 5, (1,) * 5) == 1
+        assert haar_moment(2, (1, 2, 1), (2, 1, 2)) == Fraction(1, 2)
+        assert haar_moment(3, (1, 2, 3, 1, 2), (3, 1, 2, 3, 1)) == Fraction(1, 6)
+        assert haar_moment(3, (1, 2, 3, 1, 2), (3, 1, 2, 3, 2)) == 0
 
     def test_small_n_weingarten_branch_can_be_singular(self):
         with pytest.raises(SingularGramError):
-            haar_moment(2, (1, 1, 2), (1, 2, 1), method="weingarten")
+            _haar_weingarten_by_kernels(2, kernel((1, 1, 2)), kernel((1, 2, 1)))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_adjugate_sums_match_fraction_table_oracle(self, k):
@@ -448,6 +475,72 @@ class TestAsymptotics:
                 report = weingarten_asymptotics(k, [200], p, p)
                 # W(p,p) * n^{|p|} -> mu(p,p) = 1: residual/n small
                 assert abs(report.rows[0].value * Fraction(200) ** p.block_count() - 1) < Fraction(1, 50)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_fraction_table_oracle(self, k):
+        # every pair of NC(k), against Gauss-Jordan Fraction tables, the chain
+        # count Moebius value and the union-find join
+        ns = range(4, 13)
+        nc = enumerate_nc(k)
+        tables = {n: gauss_jordan_inverse([list(r) for r in gram(k, n).entries]) for n in ns}
+        for a, p in enumerate(nc):
+            for b, q in enumerate(nc):
+                report = weingarten_asymptotics(k, ns, p, q)
+                relation, rows, max_abs, bounded = asymptotics_by_fraction_table(
+                    lambda n: tables[n][a][b], ns, p, q,
+                    mobius_nc_chain_count, join_by_union_find, leq_by_block_lookup,
+                )
+                assert report.relation == relation
+                assert [(r.n, r.value, r.scaled) for r in report.rows] == rows
+                assert report.max_abs == max_abs
+                assert report.bounded == bounded
+
+    def test_reads_integers_not_the_fraction_table(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the sweep took a parallel route")
+
+        monkeypatch.setattr(importlib.import_module("qperm.weingarten"), "weingarten", unused)
+        partitions = importlib.import_module("qperm.partitions")
+        for name in ("join", "mobius_nc"):
+            monkeypatch.setattr(partitions, name, unused)
+        p, q = SetPartition.from_text("1|2|3"), SetPartition.full(3)
+        report = weingarten_asymptotics(3, range(4, 9), p, q)
+        assert report.relation == "mobius_residual"
+
+    def test_refuses_pairs_outside_nc_k(self):
+        crossing = SetPartition.from_text("1,3|2,4")
+        for p, q in [(crossing, SetPartition.full(4)), (SetPartition.full(4), crossing)]:
+            with pytest.raises(DomainError):
+                weingarten_asymptotics(4, range(4, 6), p, q)
+        with pytest.raises(DomainError):
+            weingarten_asymptotics(4, range(4, 6), SetPartition.full(3), SetPartition.full(3))
+
+    def test_refuses_k9_before_any_enumeration(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("enumerated a partition set")
+
+        module = importlib.import_module("qperm.partitions")
+        for name in ("_all_partitions", "_all_nc", "_nc_order_data"):
+            monkeypatch.setattr(module, name, unused)
+        zero9, one9 = SetPartition.singletons(9), SetPartition.full(9)
+        with pytest.raises(BoundError):
+            weingarten_asymptotics(9, range(4, 6), zero9, one9)
+        for mobius in (mobius_nc, mobius_nc_chain_count):
+            with pytest.raises(BoundError):
+                mobius(zero9, one9)
+
+    def test_refuses_k8_before_the_join_table(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("built the k = 8 join table")
+
+        module = importlib.import_module("qperm.weingarten")
+        monkeypatch.setattr(module, "_join_exponents", unused)
+        zero8, one8 = SetPartition.singletons(8), SetPartition.full(8)
+        with pytest.raises(BoundError, match="k <= 7"):
+            weingarten_asymptotics(8, range(4, 6), zero8, one8)
+        # a singular cell is refused before it too
+        with pytest.raises(SingularGramError):
+            weingarten_asymptotics(8, range(3, 6), zero8, one8)
 
 
 class TestDk:
