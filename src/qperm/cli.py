@@ -379,6 +379,25 @@ def cmd_magic_invariance(args):
     return _emit("magic invariance", config, results, report.passed)
 
 
+def _write_timings(path, results):
+    """Each criterion's seconds and cache_info() of every module-level memo
+    table in qperm, as JSON in a file: timings vary from run to run, so they
+    stay off stdout."""
+    caches = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if not module_name.startswith(f"{__package__}."):
+            continue
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module_name:
+                caches[f"{module_name}.{name}"] = obj.cache_info()._asdict()
+    criteria = [
+        {"criterion": r.number, "name": r.name, "seconds": r.seconds} for r in results
+    ]
+    with open(path, "w") as fh:
+        json.dump({"criteria": criteria, "caches": caches}, fh, indent=2)
+        fh.write("\n")
+
+
 def cmd_reproduce_all(args):
     lo, hi = _parse_range(args.n_range)
     config_obj = ExperimentConfig(
@@ -393,6 +412,8 @@ def cmd_reproduce_all(args):
         tolerance=config_obj.tolerance,
         seed=config_obj.seed,
     )
+    if args.timings:
+        _write_timings(args.timings, results)
     config = {**asdict(config_obj), "n_range": f"{lo}..{hi}"}
     all_pass = all(r.passed for r in results)
     if args.csv:
@@ -508,6 +529,12 @@ def build_parser():
     p_rep.add_argument("--tol", type=float, default=1e-9)
     p_rep.add_argument("--seed", type=int, default=20260808)
     p_rep.add_argument("--csv", action="store_true")
+    p_rep.add_argument(
+        "--timings",
+        metavar="FILE",
+        help="also write each criterion's seconds and every memo cache's "
+        "cache_info() to FILE as JSON",
+    )
     p_rep.set_defaults(handler=cmd_reproduce_all)
 
     return parser

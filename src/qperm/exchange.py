@@ -35,7 +35,7 @@ from .partitions import (
     kernel,
     leq,
 )
-from .weingarten import _adjugate, dk_value
+from .weingarten import _weingarten_pair, dk_value
 
 DEFAULT_TOL = 1e-9
 
@@ -391,13 +391,13 @@ def _urn_vector(model, k):
     length k equal to sum_{q in NC(k), q <= ker j} r(q) / den, for n >= 4.
 
     Summing the Haar formula sum_{p <= ker i, q <= ker j} W(p, q) over the
-    index words i with the weights of `_nc_weights`, and W = adj G_kn /
-    det G_kn, gives r = w^T adj and den = D^k det.  adj is symmetric, so
-    r(q) is the dot product of row q of adj with w."""
-    adj, det = _adjugate(k, model.n)
+    index words i with the weights of `_nc_weights`, and W_kn = A / D_W,
+    gives r = w^T A and den = D^k D_W.  A is symmetric, so r(q) is the dot
+    product of row q of A with w."""
+    nums, den = _weingarten_pair(k, model.n)
     start = time.perf_counter()
     scale, weights = _nc_weights(model, k)
-    vector = tuple(sum(map(mul, row, weights)) for row in adj)
+    vector = tuple(sum(map(mul, row, weights)) for row in nums)
     # imported here, so that `import qperm` does not pay for the logging package
     import logging
 
@@ -405,7 +405,7 @@ def _urn_vector(model, k):
         "urn vector k=%d n=%d N=%d seconds=%.4f",
         k, model.n, len(vector), time.perf_counter() - start,
     )
-    return vector, scale * det
+    return vector, scale * den
 
 
 @lru_cache(maxsize=None)
@@ -478,9 +478,9 @@ def definetti_gap(model, j_word):
 
     The free i.i.d. side has the free cumulants of the marginal
     m_s = (1/n) sum_i lambda_i^s.  Each side is a subset sum over the q in
-    NC(k) below ker j, of the urn vector (adj G_kn; the classical urn for
-    n <= 3) or of the Moebius vector `_free_vector`, so the gap is their
-    difference.  It must stay below d_k(n)/n for weights in [-1, 1]; both
+    NC(k) below ker j, of the urn vector (from W_kn = A / D; the classical
+    urn for n <= 3) or of the Moebius vector `_free_vector`, so the gap is
+    their difference.  It must stay below d_k(n)/n for weights in [-1, 1]; both
     sides are homogeneous of degree k in lambda, so the bound is
     d_k(n)/n * max(1, max_i |lambda_i|)^k.  Words of length 0 or above
     K_MAX are refused before any vector is built.

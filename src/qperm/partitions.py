@@ -206,11 +206,21 @@ def noncrossing_certificate(p):
     return NonCrossingCertificate(partition=p, peel_order=tuple(peel))
 
 
-@lru_cache(maxsize=None)
-def _all_partitions(k):
-    # Restricted growth strings; blocks come out canonical (ordered by
-    # first occurrence = ordered by minimum).
+def _restricted_growth(k, noncrossing):
+    """P(k), or NC(k) when `noncrossing`, in canonical order.
+
+    Restricted growth strings: position x carries the label of its block,
+    labels counted from 0 in order of first occurrence, so blocks come out
+    canonical (ordered by minimum).  A non-crossing prefix stays so when the
+    next position joins an existing block iff every position after that
+    block's last one lies in a block first seen after it; for NC(k) any
+    other prefix is pruned at once."""
     results = []
+
+    def joins_without_crossing(prefix, a):
+        last = len(prefix) - 1 - prefix[::-1].index(a)
+        opened = max(prefix[: last + 1])
+        return all(b > opened for b in prefix[last + 1 :])
 
     def extend(prefix, mx):
         if len(prefix) == k:
@@ -221,6 +231,8 @@ def _all_partitions(k):
             results.append(SetPartition(blocks))
             return
         for a in range(mx + 2):
+            if noncrossing and a <= mx and not joins_without_crossing(prefix, a):
+                continue
             prefix.append(a)
             extend(prefix, max(mx, a))
             prefix.pop()
@@ -231,8 +243,13 @@ def _all_partitions(k):
 
 
 @lru_cache(maxsize=None)
+def _all_partitions(k):
+    return _restricted_growth(k, noncrossing=False)
+
+
+@lru_cache(maxsize=None)
 def _all_nc(k):
-    return tuple(p for p in _all_partitions(k) if is_noncrossing(p))
+    return _restricted_growth(k, noncrossing=True)
 
 
 def enumerate_partitions(k, k_max=None):

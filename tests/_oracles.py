@@ -2,14 +2,15 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
 def gauss_jordan_inverse(rows):
     """Plain Fraction Gauss-Jordan with partial pivoting by first nonzero.
 
-    Deliberately a different algorithm from the production fraction-free
-    elimination, so the two can certify each other.
+    Deliberately a different algorithm from the production p-adic inverse,
+    so the two can certify each other.
     """
     n = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
@@ -26,6 +27,56 @@ def gauss_jordan_inverse(rows):
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def adjugate_by_bareiss(rows):
+    """(adj G, det G) of a symmetric Gram matrix in integers, by the
+    fraction-free factorization L G = U with no pivoting, built row by row.
+
+    Row i of the upper triangular U is row i of Bareiss elimination: U[i][j]
+    is the minor of G on rows 0..i and columns 0..i-1, j, so the pivots
+    U[i][i] are the leading minors p_i.  G is a Gram matrix, so they are
+    positive up to the first zero, and a zero pivot means G is singular
+    (ZeroDivisionError): there is no row swap.  Row i of the lower
+    triangular L holds cofactors of the leading (i+1)-block, integers with
+    L[i][i] = p_{i-1}.  As G is symmetric, U L^T = L G L^T is upper
+    triangular and symmetric, so it is the diagonal D_i = p_{i-1} p_i: row i
+    of L solves U l = D_i e_i over the rows of U above it, with exact
+    divisions by the pivots, and row i of U is then (L G)[i].  With
+    G^{-1} = U^{-1} L, back substitution in integers gives each adjugate
+    column det * U^{-1} L e_c, only on and below the diagonal, as adj is
+    symmetric.  Every integer carries the full det G: about N^3 operations
+    on integers as long as det.
+    """
+    size = len(rows)
+    upper = []  # upper[i][t] = U[i][i + t]
+    lower = []  # lower[i][c] = L[i][c] for c <= i
+    prev = 1
+    for i in range(size):
+        l = [0] * i + [prev]
+        for b in range(i - 1, -1, -1):
+            u = upper[b]
+            l[b] = -sum(map(operator.mul, u[1 : i - b + 1], l[b + 1 :])) // u[0]
+        terms = [(rows[c], x) for c, x in enumerate(l) if x]
+        u = [sum(x * g[j] for g, x in terms) for j in range(i, size)]
+        if u[0] == 0:
+            raise ZeroDivisionError("singular")
+        prev = u[0]
+        upper.append(u)
+        lower.append(l)
+    det = prev
+    # columns[c][i] = adj[i][c] for i >= c
+    columns = [[0] * size for _ in range(size)]
+    for c in range(size):
+        x = columns[c]
+        for i in range(size - 1, c - 1, -1):
+            u = upper[i]
+            x[i] = (lower[i][c] * det - sum(map(operator.mul, u[1:], x[i + 1 :]))) // u[0]
+    adj = tuple(
+        tuple(columns[c][i] if c <= i else columns[i][c] for c in range(size))
+        for i in range(size)
+    )
+    return adj, det
 
 
 def nc_moment_sum(spec_values, letters, labels, enumerate_nc, leq, kernel):

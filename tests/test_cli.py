@@ -309,6 +309,22 @@ class TestReproduceAll:
         _, second = run(capsys, *args)
         assert first == second
 
+    def test_timings_file_leaves_stdout_unchanged(self, capsys, tmp_path):
+        args = ("reproduce-all", "--k-max", "2", "--n-range", "4..5", "--seed", "5")
+        path = tmp_path / "timings.json"
+        _, plain = run(capsys, *args)
+        code, timed = run(capsys, *args, "--timings", str(path))
+        assert code == 0
+        assert timed == plain
+        timings = json.loads(path.read_text())
+        assert [c["criterion"] for c in timings["criteria"]] == list(range(1, 14))
+        assert all(c["seconds"] >= 0 for c in timings["criteria"])
+        pair = timings["caches"]["qperm.weingarten._weingarten_pair"]
+        assert set(pair) == {"hits", "misses", "maxsize", "currsize"}
+        assert pair["currsize"] >= 1
+        assert "qperm.partitions._all_nc" in timings["caches"]
+        assert "qperm.exchange._urn_vector" in timings["caches"]
+
     def test_zero_tolerance_flags_complex_checks_without_crashing(self, capsys):
         code, report = run_json(
             capsys,

@@ -258,7 +258,7 @@ class TestUrnMoments:
             raise AssertionError("started the k = 8 elimination")
 
         module = importlib.import_module("qperm.weingarten")
-        monkeypatch.setattr(module, "_bareiss_inverse", no_elimination)
+        monkeypatch.setattr(module, "_padic_inverse", no_elimination)
         with pytest.raises(BoundError, match="k <= 7"):
             urn_moment_quantum(UrnModel(5, [1, Fraction(1, 2), 0, 0, 0]), (1,) * 8)
 

@@ -115,6 +115,12 @@ class TestEnumeration:
         }
         assert {p.blocks for p in ncs} == oracle
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_nc_walk_is_the_filter_over_all_partitions(self, k):
+        # NC(k) comes from its own pruned walk; it must be the non-crossing
+        # members of P(k), in the same order
+        assert enumerate_nc(k) == [p for p in enumerate_partitions(k) if is_noncrossing(p)]
+
     def test_canonical_order_is_finer_first(self):
         nc3 = enumerate_nc(3)
         assert nc3[0] == P("1|2|3")

@@ -1,13 +1,15 @@
+import functools
 import importlib
 import itertools
 import logging
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from qperm.errors import BoundError, DomainError, SingularGramError
+from qperm.errors import BoundError, DomainError, InvariantViolation, SingularGramError
 from qperm.partitions import (
     SetPartition,
     enumerate_nc,
@@ -19,11 +21,11 @@ from qperm.partitions import (
     mobius_nc_chain_count,
 )
 from qperm.weingarten import (
-    _adjugate,
-    _bareiss_inverse,
+    _PRIMES,
     _haar_average_over_sn,
     _haar_weingarten_by_kernels,
     _join_exponents,
+    _weingarten_pair,
     check_inverse,
     dk_value,
     gram,
@@ -34,6 +36,7 @@ from qperm.weingarten import (
 )
 
 from _oracles import (
+    adjugate_by_bareiss,
     asymptotics_by_fraction_table,
     dk_by_fraction_table,
     gauss_jordan_inverse,
@@ -44,6 +47,24 @@ from _oracles import (
 
 ZERO2 = SetPartition.singletons(2)
 ONE2 = SetPartition.full(2)
+
+# the package exports a function named weingarten, which hides the module
+MODULE = importlib.import_module("qperm.weingarten")
+
+
+@functools.lru_cache(maxsize=None)
+def bareiss(k, n):
+    """(adj G_kn, det G_kn) by the fraction-free elimination oracle, or None
+    when G_kn is singular."""
+    try:
+        return adjugate_by_bareiss(gram(k, n).entries)
+    except ZeroDivisionError:
+        return None
+
+
+def lowest_terms(adj, det):
+    common = math.gcd(det, *itertools.chain.from_iterable(adj))
+    return tuple(tuple(x // common for x in row) for row in adj), det // common
 
 
 def meander_det(k, n):
@@ -174,13 +195,21 @@ class TestWeingarten:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_det_matches_meander_closed_form(self, k):
+        # the oracle's det is the closed form, and the library's D divides it
+        # with a cofactor that divides every entry of the oracle's adjugate
         for n in range(1, 9):
             det = meander_det(k, n)
             if det == 0:
+                assert bareiss(k, n) is None
                 with pytest.raises(SingularGramError):
-                    _adjugate(k, n)
+                    _weingarten_pair(k, n)
             else:
-                assert _adjugate(k, n)[1] == det
+                adj, oracle_det = bareiss(k, n)
+                assert oracle_det == det
+                den = _weingarten_pair(k, n)[1]
+                cofactor = det // den
+                assert den * cofactor == det
+                assert all(x % cofactor == 0 for row in adj for x in row)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_singular_pattern(self, k):
@@ -193,36 +222,38 @@ class TestWeingarten:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_elimination_finds_the_singular_cells(self, k):
-        # _adjugate refuses the singular cells before eliminating; the
-        # elimination on its own must find the same cells by a zero pivot
-        for n in range(1, 4):
+        # _weingarten_pair refuses the singular cells before any modular work;
+        # the elimination oracle on its own must find the same cells by a zero
+        # pivot, and every other pair must be its (adj, det) in lowest terms
+        for n in range(1, 13):
             singular = (n == 1 and k >= 2) or (n == 2 and k >= 3) or (n == 3 and k >= 5)
             if singular:
+                assert bareiss(k, n) is None
                 with pytest.raises(SingularGramError):
-                    _bareiss_inverse(gram(k, n).entries, k, n)
+                    _weingarten_pair(k, n)
             else:
-                assert _bareiss_inverse(gram(k, n).entries, k, n) == _adjugate(k, n)
+                nums, den = _weingarten_pair(k, n)
+                assert den > 0
+                assert math.gcd(den, *itertools.chain.from_iterable(nums)) == 1
+                assert (nums, den) == lowest_terms(*bareiss(k, n))
 
     def test_singular_cells_are_refused_before_elimination(self, monkeypatch):
-        def no_elimination(*args):
-            raise AssertionError("eliminated a singular cell")
+        def no_inverse(*args):
+            raise AssertionError("inverted a singular cell")
 
-        # the package exports a function named weingarten, which hides the module
-        module = importlib.import_module("qperm.weingarten")
-        monkeypatch.setattr(module, "_bareiss_inverse", no_elimination)
+        monkeypatch.setattr(MODULE, "_padic_inverse", no_inverse)
         for k, n in [(2, 1), (8, 1), (3, 2), (8, 2), (5, 3), (8, 3)]:
             with pytest.raises(SingularGramError):
-                _adjugate.__wrapped__(k, n)
+                _weingarten_pair.__wrapped__(k, n)
 
     def test_k8_is_refused_before_elimination(self, monkeypatch):
-        def no_elimination(*args):
-            raise AssertionError("started the k = 8 elimination")
+        def no_inverse(*args):
+            raise AssertionError("started the k = 8 inverse")
 
-        module = importlib.import_module("qperm.weingarten")
-        monkeypatch.setattr(module, "_bareiss_inverse", no_elimination)
+        monkeypatch.setattr(MODULE, "_padic_inverse", no_inverse)
         for n in (4, 5, 12):
             with pytest.raises(BoundError, match="k <= 7"):
-                _adjugate.__wrapped__(8, n)
+                _weingarten_pair.__wrapped__(8, n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_join_exponents_match_join(self, k):
@@ -234,12 +265,16 @@ class TestWeingarten:
     def test_elimination_logs_one_debug_record(self, caplog):
         logger = logging.getLogger("qperm.weingarten")
         assert not logger.isEnabledFor(logging.DEBUG)
+        _join_exponents(3)  # built first: the join table has its own record
         with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
-            _, det = _bareiss_inverse(gram(3, 5).entries, 3, 5)
-        records = [r for r in caplog.records if r.name == "qperm.weingarten"]
-        assert len(records) == 1
-        message = records[0].getMessage()
-        assert message.startswith(f"elimination k=3 n=5 N=5 det_bits={det.bit_length()} seconds=")
+            _, den = _weingarten_pair.__wrapped__(3, 5)
+        messages = [r.getMessage() for r in caplog.records if r.name == "qperm.weingarten"]
+        assert len(messages) == 1
+        assert re.fullmatch(
+            rf"inverse k=3 n=5 N=5 prime={_PRIMES[0]} lifts=\d+ "
+            rf"den_bits={den.bit_length()} seconds=\d+\.\d{{4}}",
+            messages[0],
+        )
 
     def test_join_exponents_log_one_debug_record(self, caplog):
         logger = logging.getLogger("qperm.weingarten")
@@ -251,7 +286,7 @@ class TestWeingarten:
         assert records[0].getMessage().startswith("join exponents k=4 N=14 seconds=")
 
     def test_certificate_logs_one_debug_record(self, caplog):
-        _adjugate(4, 3)  # built first: the elimination has its own record
+        _weingarten_pair(4, 3)  # built first: the build has its own record
         with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
             assert check_inverse(4, 3)
         records = [r for r in caplog.records if r.name == "qperm.weingarten"]
@@ -271,21 +306,82 @@ class TestWeingarten:
         assert rational_str(5) == "5/1"
 
 
+class TestPadicInverse:
+    """Edge paths of the p-adic inverse, each checked against the elimination
+    oracle."""
+
+    def test_falls_back_to_the_next_prime(self, monkeypatch, caplog):
+        adj, det = bareiss(2, 4)
+        assert det == 48
+        residues = [[x % 3 for x in row] for row in gram(2, 4).entries]
+        assert MODULE._gauss_jordan_mod(residues, 3) is None
+        monkeypatch.setattr(MODULE, "_PRIMES", (3,) + _PRIMES)
+        with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
+            pair = _weingarten_pair.__wrapped__(2, 4)
+        assert pair == lowest_terms(adj, det)
+        messages = [r.getMessage() for r in caplog.records if r.name == "qperm.weingarten"]
+        assert any(m.startswith(f"inverse k=2 n=4 N=2 prime={_PRIMES[0]} ") for m in messages)
+
+    def test_refuses_when_every_prime_divides_det(self, monkeypatch):
+        monkeypatch.setattr(MODULE, "_PRIMES", (2, 3))  # det G_24 = 48
+        with pytest.raises(BoundError, match="divides det"):
+            _weingarten_pair.__wrapped__(2, 4)
+
+    @pytest.mark.parametrize("k,n", [(6, 18), (3, 2**14), (4, 2**20)])
+    def test_lift_in_python_integers(self, k, n):
+        # N max G 2^21 passes 2^53 from (6, 18) on, so the lift leaves float64
+        # for Python integers; the entries themselves pass 2^63 at (4, 2^20)
+        rows = gram(k, n).entries
+        assert len(rows) * n**k * 2**21 >= 2**53
+        pair = _weingarten_pair.__wrapped__(k, n)
+        assert pair == lowest_terms(*adjugate_by_bareiss(rows))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_tampered_reconstruction_is_never_returned(self, monkeypatch, delta):
+        real = MODULE._reconstruct
+        tampered = []
+
+        def tamper_first(approx, modulus):
+            found = real(approx, modulus)
+            if found is None or tampered:
+                return found
+            nums, den = found
+            tampered.append(den)
+            nums = nums.copy()
+            nums[0] += delta
+            return nums, den
+
+        monkeypatch.setattr(MODULE, "_reconstruct", tamper_first)
+        assert _weingarten_pair.__wrapped__(4, 5) == lowest_terms(*bareiss(4, 5))
+        assert tampered
+
+        def tamper_every(approx, modulus):
+            found = real(approx, modulus)
+            if found is None:
+                return found
+            nums, den = found
+            nums = nums.copy()
+            nums[0] += delta
+            return nums, den
+
+        monkeypatch.setattr(MODULE, "_reconstruct", tamper_every)
+        with pytest.raises(InvariantViolation, match="no exact inverse"):
+            _weingarten_pair.__wrapped__(4, 5)
+
+
 class TestCertificateMutations:
-    """check_inverse must reject a wrong adjugate, a wrong det, and a wrong
-    join table even when G, adj and det were all built from it."""
+    """check_inverse must reject a wrong numerator matrix A, a wrong D, and a
+    wrong join table even when G and the pair were built from it."""
 
     @pytest.fixture
     def module(self, monkeypatch):
-        # the package exports a function named weingarten, which hides the module
-        module = importlib.import_module("qperm.weingarten")
-        yield module
+        yield MODULE
         monkeypatch.undo()
         gram.cache_clear()
-        _adjugate.cache_clear()
+        _weingarten_pair.cache_clear()
 
     def test_reads_neither_the_join_table_nor_gram(self, module, monkeypatch):
-        _adjugate(4, 5)
+        _weingarten_pair(4, 5)
 
         def unused(*args):
             raise AssertionError("the certificate read the table it certifies")
@@ -304,52 +400,54 @@ class TestCertificateMutations:
         monkeypatch.setattr(module, "_join_exponents", lambda k: bad if k == 4 else good)
         for n in (4, 5, 7):
             gram.cache_clear()
-            _adjugate.cache_clear()
+            _weingarten_pair.cache_clear()
             assert not check_inverse(4, n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_rejects_one_changed_adjugate_entry(self, module, monkeypatch, k):
         rng = random.Random(800 + k)
         for n in (4, 7):
-            adj, det = _adjugate(k, n)
-            size = len(adj)
+            nums, den = _weingarten_pair(k, n)
+            size = len(nums)
             cells = {(0, 0), (size - 1, size - 1)}
             cells.update((rng.randrange(size), rng.randrange(size)) for _ in range(6))
             for a, b in sorted(cells):
                 for delta in (1, -1):
-                    rows = [list(row) for row in adj]
+                    rows = [list(row) for row in nums]
                     rows[a][b] += delta
-                    wrong = (tuple(map(tuple, rows)), det)
-                    monkeypatch.setattr(module, "_adjugate", lambda k, n, wrong=wrong: wrong)
+                    wrong = (tuple(map(tuple, rows)), den)
+                    monkeypatch.setattr(
+                        module, "_weingarten_pair", lambda k, n, wrong=wrong: wrong
+                    )
                     assert not check_inverse(k, n)
                     monkeypatch.undo()
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_rejects_an_adjugate_column_with_the_right_diagonal(self, module, monkeypatch, k):
-        # adding G[b][c] at (a, b) and -G[b][a] at (c, b) keeps (G adj)[b][b]
+        # adding G[b][c] at (a, b) and -G[b][a] at (c, b) keeps (G A)[b][b]
         # and changes the rest of column b, as columns a and c of G differ
         rng = random.Random(900 + k)
         for n in (4, 7):
-            adj, det = _adjugate(k, n)
+            nums, den = _weingarten_pair(k, n)
             g = gram(k, n).entries
             for _ in range(4):
-                a, c = rng.sample(range(len(adj)), 2)
-                b = rng.randrange(len(adj))
-                rows = [list(row) for row in adj]
+                a, c = rng.sample(range(len(nums)), 2)
+                b = rng.randrange(len(nums))
+                rows = [list(row) for row in nums]
                 rows[a][b] += g[b][c]
                 rows[c][b] -= g[b][a]
-                wrong = (tuple(map(tuple, rows)), det)
-                monkeypatch.setattr(module, "_adjugate", lambda k, n, wrong=wrong: wrong)
+                wrong = (tuple(map(tuple, rows)), den)
+                monkeypatch.setattr(module, "_weingarten_pair", lambda k, n, wrong=wrong: wrong)
                 assert not check_inverse(k, n)
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_rejects_a_changed_det(self, module, monkeypatch, k):
         for n in (4, 7):
-            adj, det = _adjugate(k, n)
+            nums, den = _weingarten_pair(k, n)
             for delta in (1, -1):
-                wrong = (adj, det + delta)
-                monkeypatch.setattr(module, "_adjugate", lambda k, n, wrong=wrong: wrong)
+                wrong = (nums, den + delta)
+                monkeypatch.setattr(module, "_weingarten_pair", lambda k, n, wrong=wrong: wrong)
                 assert not check_inverse(k, n)
                 monkeypatch.undo()
 
@@ -437,6 +535,17 @@ class TestHaarMoment:
                 if tau.block_count() <= n
             )
             assert total == math.comb(2 * k, k) // (k + 1)
+
+    def test_k7_inverse_and_character_moment(self):
+        # N = 429: the certificate holds, and the character moment at n = 5
+        # is Cat(7) = 429
+        assert check_inverse(7, 5)
+        total = sum(
+            math.perm(5, tau.block_count()) * haar_moment(5, tau.to_word(), tau.to_word())
+            for tau in enumerate_partitions(7)
+            if tau.block_count() <= 5
+        )
+        assert total == 429
 
     def test_index_out_of_range(self):
         with pytest.raises(BoundError):
