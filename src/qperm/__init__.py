@@ -54,6 +54,7 @@ from .exchange import (
     cesaro_variance,
     definetti_gap,
     invariance_check,
+    permutation_deviation,
     permutation_magic_unitary,
     two_projection_magic_unitary,
     urn_moment_classical,
@@ -101,6 +102,7 @@ __all__ = [
     "moments_to_cumulants",
     "nested_eval",
     "noncrossing_certificate",
+    "permutation_deviation",
     "permutation_magic_unitary",
     "two_projection_magic_unitary",
     "urn_moment_classical",

@@ -25,13 +25,13 @@ from .cumulants import (
 from .errors import InvariantViolation, SingularGramError
 from .exchange import (
     UrnModel,
-    all_permutation_magic_unitaries,
     bernoulli_moments,
     block_sum_matches_indicator,
     cesaro_variance,
     definetti_gap,
     free_iid_functional,
     invariance_check,
+    permutation_deviation,
     permutation_magic_unitary,
     rotated_projection,
     tensor_iid_functional,
@@ -45,7 +45,7 @@ from .partitions import (
     mobius_nc,
     mobius_nc_chain_count,
 )
-from .weingarten import check_inverse, haar_moment, weingarten_asymptotics
+from .weingarten import _no_growth, check_inverse, haar_moment, weingarten_asymptotics
 
 NC_COUNTS = (1, 2, 5, 14, 42, 132, 429)
 BELL_COUNTS = (1, 2, 5, 15, 52, 203, 877)
@@ -311,14 +311,8 @@ def _rich_spec(k_max=4):
 
 def criterion_8_free_implies_invariant(ns=(4, 5), k_hi=4, tol=1e-9, theta=math.pi / 5):
     start = time.perf_counter()
-    worst_exact = Fraction(0)
-    worst_complex = 0.0
     spec = _rich_spec(k_hi)
-    for n in ns:
-        mf = free_iid_functional(spec, n, k_hi)
-        for u in all_permutation_magic_unitaries(n):
-            report = invariance_check(mf, u, max_degree=k_hi)
-            worst_exact = max(worst_exact, report.max_deviation)
+    worst_exact = max(permutation_deviation(free_iid_functional(spec, n, k_hi), k_hi) for n in ns)
     mf4 = free_iid_functional(spec, 4, k_hi)
     u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(theta))
     worst_complex = invariance_check(mf4, u2, max_degree=k_hi).max_deviation
@@ -386,12 +380,8 @@ def criterion_10_definetti_gap(k_hi=4, ns=range(4, 25)):
                         continue
                     key = (profile_name, k)
                     scaled.setdefault(key, []).append(report.gap * n)
-    trend_bad = []
-    for key, values in scaled.items():
-        per_n = values  # grouped by n in sweep order with classes interleaved
-        half = len(per_n) // 2
-        if max(per_n[half:]) > max(per_n[:half]):
-            trend_bad.append(key)
+    # each key's values run over n in sweep order, the classes interleaved
+    trend_bad = [key for key, values in scaled.items() if not _no_growth(values)]
     worst = max((max(v) for v in scaled.values()), default=Fraction(0))
     passed = not failures and not trend_bad
     return _result(
@@ -410,9 +400,7 @@ def criterion_10_definetti_gap(k_hi=4, ns=range(4, 25)):
 def criterion_11_classical_quantum_separation(theta=math.pi / 5, degree=4):
     start = time.perf_counter()
     mf = tensor_iid_functional(bernoulli_moments(degree), 4, degree)
-    worst_perm = Fraction(0)
-    for u in all_permutation_magic_unitaries(4):
-        worst_perm = max(worst_perm, invariance_check(mf, u, max_degree=degree).max_deviation)
+    worst_perm = permutation_deviation(mf, degree)
     u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(theta))
     report = invariance_check(mf, u2, max_degree=degree)
     passed = worst_perm == 0 and report.max_deviation > 1e-3

@@ -7,10 +7,12 @@ operators are constructed.  Permutation magic unitaries and urn moments
 are exact rationals; complex-projection magic unitaries carry a stated
 absolute tolerance (default 1e-9).
 
-Checking invariance against finitely many concrete magic unitaries is a
-necessary condition for quantum exchangeability, not a decision
-procedure: the definition quantifies over every magic unitary in every
-unital C*-algebra.
+Classical exchangeability is decided exactly: a relabelling maps one word
+onto another exactly when the two share a kernel, so invariance under every
+permutation is constancy on the kernel classes (`permutation_deviation`).
+Only the quantum half rests on finitely many concrete magic unitaries,
+which is a necessary condition, not a decision procedure: the definition
+quantifies over every magic unitary in every unital C*-algebra.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from .cumulants import MomentFunctional, free_iid_moment
 from .errors import BoundError, DimensionError, DomainError, InvariantViolation
 from .partitions import (
     _check_k,
+    _debug,
     _mobius_row,
     _nc_below,
     enumerate_nc,
@@ -276,6 +279,21 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
     )
 
 
+def permutation_deviation(mf, max_degree):
+    """Worst `invariance_check` deviation over all n! permutation unitaries,
+    in one pass over the words: a relabelling maps one word onto another
+    exactly when the two share a kernel, so it is the largest spread
+    max - min of mf.value over the words of one kernel class, for the
+    lengths 1..max_degree.  0 is classical exchangeability."""
+    if max_degree > mf.k_max:
+        raise BoundError(f"max_degree {max_degree} exceeds functional k_max {mf.k_max}")
+    classes = {}
+    for k in range(1, max_degree + 1):
+        for word in itertools.product(mf.alphabet, repeat=k):
+            classes.setdefault(kernel(word), []).append(mf.value(word))
+    return max((max(v) - min(v) for v in classes.values()), default=Fraction(0))
+
+
 def block_sum_identity(unitary, pi, j_word):
     """sum over index words i with pi <= ker i of the block product.
 
@@ -398,11 +416,8 @@ def _urn_vector(model, k):
     start = time.perf_counter()
     scale, weights = _nc_weights(model, k)
     vector = tuple(sum(map(mul, row, weights)) for row in nums)
-    # imported here, so that `import qperm` does not pay for the logging package
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "urn vector k=%d n=%d N=%d seconds=%.4f",
+    _debug(
+        __name__, "urn vector k=%d n=%d N=%d seconds=%.4f",
         k, model.n, len(vector), time.perf_counter() - start,
     )
     return vector, scale * den
@@ -482,16 +497,17 @@ def definetti_gap(model, j_word):
     urn for n <= 3) or of the Moebius vector `_free_vector`, so the gap is
     their difference.  It must stay below d_k(n)/n for weights in [-1, 1]; both
     sides are homogeneous of degree k in lambda, so the bound is
-    d_k(n)/n * max(1, max_i |lambda_i|)^k.  Words of length 0 or above
-    K_MAX are refused before any vector is built.
+    d_k(n)/n * max(1, max_i |lambda_i|)^k.  The bound is computed first, so
+    words of length 0 or above W_K_MAX, and the cells with a singular G_kn
+    (n <= 3), are refused before any vector is built.
     """
     j_word = tuple(j_word)
     k = len(j_word)
+    scale = max(1, max(abs(x) for x in model.lam)) ** k
+    bound = dk_value(k, [model.n]).max_value / model.n * scale
     urn = urn_moment_quantum(model, j_word)
     free = _subset_sum(*_free_vector(model, k), j_word)
     gap = abs(urn - free)
-    scale = max(1, max(abs(x) for x in model.lam)) ** k
-    bound = dk_value(k, [model.n]).max_value / model.n * scale
     if gap > bound:
         raise InvariantViolation(
             f"de Finetti gap {gap} exceeds d_k(n)/n * {scale} = {bound} "
@@ -509,17 +525,16 @@ def definetti_gap(model, j_word):
 
 def cesaro_variance(spec, n, letter="c", star=None):
     """Squared 2-norm of the Cesaro mean (1/n) sum_i rho_i(c) for a centered
-    free i.i.d. family, via the pair-moment double sum; equals phi(c*c)/n."""
+    free i.i.d. family; equals phi(c*c)/n.  The n^2 terms of the pair-moment
+    double sum read the labels (i1, i2) only through their kernel: n of them
+    are m(1, 1) and n(n - 1) are m(1, 2)."""
     if star is None:
         starred = letter + "*"
         star = starred if starred in spec.alphabet else letter
     if spec.value((letter,)) != 0 or spec.value((star,)) != 0:
         raise DomainError("cesaro_variance requires a centered letter (kappa_1 = 0)")
-    total = Fraction(0)
-    for i1 in range(1, n + 1):
-        for i2 in range(1, n + 1):
-            total += free_iid_moment(spec, (star, letter), (i1, i2))
-    return total / n**2
+    same, distinct = (free_iid_moment(spec, (star, letter), ij) for ij in ((1, 1), (1, 2)))
+    return Fraction(n * same + n * (n - 1) * distinct, n**2)
 
 
 def _label_functional(n, k_max, value):

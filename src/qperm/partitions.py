@@ -325,6 +325,14 @@ def kernel(indices):
     return SetPartition(groups.values(), ground_size=len(items))
 
 
+def _debug(module, message, *args):
+    """One `logging` debug record of a table build, on the logger of `module`."""
+    # imported here, so that `import qperm` does not pay for the logging package
+    import logging
+
+    logging.getLogger(module).debug(message, *args, stacklevel=2)
+
+
 @lru_cache(maxsize=None)
 def _nc_order_data(k):
     """(partitions, index map, up-sets as bitmasks) for NC(k).
@@ -342,12 +350,7 @@ def _nc_order_data(k):
             if not own & ~pairs[j]:
                 mask |= 1 << j
         up.append(mask)
-    # imported here, so that `import qperm` does not pay for the logging package
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "NC order k=%d N=%d seconds=%.4f", k, len(nc), time.perf_counter() - start
-    )
+    _debug(__name__, "NC order k=%d N=%d seconds=%.4f", k, len(nc), time.perf_counter() - start)
     return nc, pos, tuple(up)
 
 

@@ -36,6 +36,7 @@ from .partitions import (
     SetPartition,
     _block_masks,
     _check_k,
+    _debug,
     _join_masks,
     _mobius_row,
     _nc_below,
@@ -99,12 +100,7 @@ def _join_exponents(k):
     for a, own in enumerate(masks):
         for b in range(a, size):
             table[a][b] = table[b][a] = len(_join_masks(own, masks[b]))
-    # imported here, so that `import qperm` does not pay for the logging package
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "join exponents k=%d N=%d seconds=%.4f", k, size, time.perf_counter() - start
-    )
+    _debug(__name__, "join exponents k=%d N=%d seconds=%.4f", k, size, time.perf_counter() - start)
     return tuple(map(tuple, table))
 
 
@@ -292,11 +288,8 @@ def _padic_inverse(rows, k, n):
             full[upper] = full[upper[::-1]] = [x // common for x in nums]
             den //= common
             if _solves(limbs, dtype, size * top, full, den):
-                # imported here, so that `import qperm` does not pay for the logging package
-                import logging
-
-                logging.getLogger(__name__).debug(
-                    "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
+                _debug(
+                    __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
                     k, n, size, p, lifts, den.bit_length(), time.perf_counter() - start,
                 )
                 return tuple(map(tuple, full.tolist())), den
@@ -373,11 +366,8 @@ def check_inverse(k, n):
     ok = all(
         row == [den if j == i else 0 for j in range(size)] for i, row in enumerate(product)
     )
-    # imported here, so that `import qperm` does not pay for the logging package
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "certificate k=%d n=%d N=%d rows=%d seconds=%.4f",
+    _debug(
+        __name__, "certificate k=%d n=%d N=%d rows=%d seconds=%.4f",
         k, n, size, used, time.perf_counter() - start,
     )
     return ok

@@ -327,3 +327,12 @@ def free_side_by_cumulants(kappas, j_word, cumulants):
     values = {("x",) * s: kappas[s - 1] for s in range(1, k + 1)}
     spec = cumulants.CumulantSpec(alphabet=("x",), k_max=k, values=values)
     return cumulants.free_iid_moment(spec, ("x",) * k, j_word)
+
+
+def cesaro_by_double_sum(moment, n, pair):
+    """(1/n^2) times the sum of moment(pair, (i1, i2)) over all n^2 label
+    pairs: the Cesaro variance term by term, with no kernel classes."""
+    total = Fraction(0)
+    for labels in itertools.product(range(1, n + 1), repeat=2):
+        total += moment(pair, labels)
+    return total / n**2

@@ -303,6 +303,12 @@ class TestReproduceAll:
         for entry in report["results"]:
             assert entry["pass"] is True
 
+    def test_one_point_sweep_passes(self, capsys):
+        # the no-growth rule of criteria 3 and 10 holds on a single n
+        code, report = run_json(capsys, "reproduce-all", "--k-max", "2", "--n-range", "4..4")
+        assert code == 0
+        assert len(report["results"]) == 13
+
     def test_byte_identical_for_fixed_seed(self, capsys):
         args = ("reproduce-all", "--k-max", "2", "--n-range", "4..5", "--seed", "5")
         _, first = run(capsys, *args)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qperm import cumulants
-from qperm.cumulants import CumulantSpec, moment_nested
+from qperm.cumulants import CumulantSpec, free_iid_moment, moment_nested
 from qperm.errors import BoundError, DimensionError, DomainError, SingularGramError
 from qperm.exchange import (
     MagicUnitary,
@@ -27,6 +27,7 @@ from qperm.exchange import (
     definetti_gap,
     free_iid_functional,
     invariance_check,
+    permutation_deviation,
     permutation_magic_unitary,
     rotated_projection,
     tensor_iid_functional,
@@ -40,6 +41,7 @@ from qperm.partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partit
 from qperm.weingarten import dk_value, haar_moment
 
 from _oracles import (
+    cesaro_by_double_sum,
     classical_urn_by_permutations,
     free_side_by_cumulants,
     injection_weight_by_assignment,
@@ -166,6 +168,54 @@ class TestInvariance:
         mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
         with pytest.raises(BoundError):
             invariance_check(mf, permutation_magic_unitary((1, 2, 3, 4)), max_degree=3)
+
+
+class TestPermutationDeviation:
+    @staticmethod
+    def sweep(mf, degree):
+        n = len(mf.alphabet)
+        return max(
+            invariance_check(mf, u, max_degree=degree).max_deviation
+            for u in all_permutation_magic_unitaries(n)
+        )
+
+    @staticmethod
+    def perturbed(mf, rng, count):
+        # moves a few words off the value of their kernel class
+        moments = dict(mf.moments)
+        for word in rng.sample(sorted(moments), count):
+            moments[word] += Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        return MomentFunctional(mf.alphabet, mf.k_max, moments)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_permutation_sweep(self, n):
+        degree = 3 if n == 5 else 4
+        rng = random.Random(90 + n)
+        values = {("c",): Fraction(1, 2), ("c", "c"): Fraction(1), ("c",) * 3: Fraction(1, 3)}
+        spec = CumulantSpec(("c",), degree, values)
+        lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        exchangeable = [
+            free_iid_functional(spec, n, degree),
+            urn_functional(UrnModel(n, lam), degree),
+            tensor_iid_functional(bernoulli_moments(degree), n, degree),
+        ]
+        for mf in exchangeable:
+            assert permutation_deviation(mf, degree) == 0 == self.sweep(mf, degree)
+        for mf in exchangeable:
+            for count in (1, 5):
+                off = self.perturbed(mf, rng, count)
+                for d in range(1, degree + 1):
+                    assert permutation_deviation(off, d) == self.sweep(off, d)
+                assert permutation_deviation(off, degree) > 0
+
+    def test_degree_above_kmax_rejected(self):
+        mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
+        with pytest.raises(BoundError):
+            permutation_deviation(mf, 3)
+
+    def test_zero_degree_is_zero(self):
+        mf = tensor_iid_functional(bernoulli_moments(2), 3, 2)
+        assert permutation_deviation(mf, 0) == 0
 
 
 class TestBlockSum:
@@ -452,6 +502,19 @@ class TestDeFinettiGap:
             with pytest.raises(BoundError):
                 definetti_gap(model, j)
 
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 5)])
+    def test_gap_refuses_singular_cells_before_any_side(self, monkeypatch, n, k):
+        def no_side(*args):
+            raise AssertionError("started a side of the gap on a singular cell")
+
+        module = importlib.import_module("qperm.exchange")
+        for name in ("_nc_weights", "_mobius_row", "_injection_weight"):
+            monkeypatch.setattr(module, name, no_side)
+        model = UrnModel(n, [1, Fraction(-1, 2)] + [0] * (n - 2))
+        for j in [(1,) * k, tuple(x % n + 1 for x in range(k))]:
+            with pytest.raises(SingularGramError):
+                definetti_gap(model, j)
+
     def test_bound_scales_with_largest_weight(self):
         report = definetti_gap(UrnModel(4, [5, 0, 0, 0]), (1, 2))
         assert report.gap == Fraction(25, 16)
@@ -501,6 +564,23 @@ class TestCesaro:
             {("c*", "c"): Fraction(2), ("c", "c*"): Fraction(3)},
         )
         assert cesaro_variance(spec, 4) == Fraction(2, 4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CumulantSpec(("c",), 4, {("c", "c"): Fraction(7, 3), ("c",) * 3: Fraction(-1, 2)}),
+            CumulantSpec(
+                ("c", "c*"),
+                4,
+                {("c*", "c"): Fraction(2), ("c", "c*"): Fraction(3), ("c", "c"): Fraction(5, 4)},
+            ),
+        ],
+    )
+    def test_kernel_classes_equal_the_double_sum(self, spec):
+        pair = ("c*", "c") if "c*" in spec.alphabet else ("c", "c")
+        moment = functools.partial(free_iid_moment, spec)
+        for n in range(1, 9):
+            assert cesaro_variance(spec, n) == cesaro_by_double_sum(moment, n, pair)
 
     def test_uncentered_rejected(self):
         spec = CumulantSpec(("c",), 4, {("c",): Fraction(1), ("c", "c"): Fraction(1)})
