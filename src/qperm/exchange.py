@@ -5,7 +5,11 @@ The noncommutative urn x_j = sum_i lambda_i u_ij is realized purely at the
 level of moments through the Haar integration formula; no Hilbert-space
 operators are constructed.  Permutation magic unitaries and urn moments
 are exact rationals; complex-projection magic unitaries carry a stated
-absolute tolerance (default 1e-9).
+absolute tolerance (default 1e-9).  `MagicUnitary` fixes that block
+arithmetic once (`*` or `@`, exact comparison or a tolerance), and every
+coaction sum, the invariance check's sum_i M(i) u_{i1 j1}...u_{ik jk} and
+the block sum over the index words i with pi <= ker i, is one depth-first
+walk over the nonzero blocks (`_coaction_sum`).
 
 Classical exchangeability is decided exactly: a relabelling maps one word
 onto another exactly when the two share a kernel, so invariance under every
@@ -22,13 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import matmul, mul
 
 import numpy as np
 
 from .cumulants import MomentFunctional, free_iid_moment
 from .errors import BoundError, DimensionError, DomainError, InvariantViolation
 from .partitions import (
+    SetPartition,
     _check_k,
     _debug,
     _mobius_row,
@@ -46,8 +51,10 @@ DEFAULT_TOL = 1e-9
 class MagicUnitary:
     """n x n array of d x d projection blocks with magic row/column sums.
 
-    Exact instances hold Fraction scalars (d = 1); numeric instances hold
-    complex d x d arrays and are validated within a tolerance.
+    The block arithmetic is fixed here, once: exact instances hold Fraction
+    scalars (d = 1), multiply with `*` and compare exactly whatever the
+    tolerance; numeric instances hold complex d x d arrays, multiply with
+    `@` and compare within a tolerance (default 1e-9).
     """
 
     def __init__(self, blocks, exact=None):
@@ -55,43 +62,51 @@ class MagicUnitary:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionError("blocks must form a square array")
-        first = rows[0][0]
         if exact is None:
-            exact = not isinstance(first, np.ndarray)
+            exact = not isinstance(rows[0][0], np.ndarray)
         self.exact = exact
         if exact:
             self.d = 1
             self.blocks = tuple(tuple(Fraction(x) for x in r) for r in rows)
+            self.one, self.zero = Fraction(1), Fraction(0)
+            self.mul, self.scalar = mul, Fraction
+            self.adjoint = lambda a: a
         else:
             arrs = [[np.asarray(x, dtype=complex) for x in r] for r in rows]
-            d = arrs[0][0].shape[0]
-            for r in arrs:
-                for a in r:
-                    if a.shape != (d, d):
-                        raise DimensionError("all blocks must share one shape")
-            self.d = d
+            shape = arrs[0][0].shape
+            if len(shape) != 2 or shape[0] != shape[1] or any(
+                a.shape != shape for r in arrs for a in r
+            ):
+                raise DimensionError("blocks must be square matrices of one shape")
+            self.d = shape[0]
             self.blocks = tuple(tuple(r) for r in arrs)
+            self.one = np.eye(self.d, dtype=complex)
+            self.zero = np.zeros((self.d, self.d), dtype=complex)
+            self.mul, self.scalar = matmul, complex
+            self.adjoint = lambda a: a.conj().T
         self.n = n
+        # a structural zero is exactly 0, or a matrix with no entry above 1e-14
+        floor = self.tolerance(1e-14)
         self._nonzero = tuple(
-            tuple(self._block_nonzero(b) for b in row) for row in self.blocks
+            tuple(self.distance(b, self.zero) > floor for b in row) for row in self.blocks
         )
 
-    def _block_nonzero(self, b):
+    def distance(self, a, b):
+        """|a - b| exactly, or the largest entry of |a - b| as a float."""
         if self.exact:
-            return b != 0
-        return bool(np.any(np.abs(b) > 1e-14))
+            return abs(a - b)
+        return float(np.max(np.abs(a - b)))
+
+    def tolerance(self, tol=DEFAULT_TOL):
+        """The tolerance block comparisons use: 0 for exact instances,
+        whatever tol says, and tol otherwise."""
+        return 0 if self.exact else tol
 
     def block(self, i, j):
         return self.blocks[i - 1][j - 1]
 
     def block_is_zero(self, i, j):
         return not self._nonzero[i - 1][j - 1]
-
-    def identity_block(self):
-        return Fraction(1) if self.exact else np.eye(self.d, dtype=complex)
-
-    def zero_block(self):
-        return Fraction(0) if self.exact else np.zeros((self.d, self.d), dtype=complex)
 
     def permutation(self):
         """The permutation this unitary encodes, or None.
@@ -114,28 +129,20 @@ class MagicUnitary:
 
     def violations(self, tol=DEFAULT_TOL):
         """All failures of the magic relations, as human-readable strings."""
-        if self.exact:
-            close = lambda a, b: a == b
-            adjoint = lambda a: a
-            mul = lambda a, b: a * b
-        else:
-            close = lambda a, b: np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
-            adjoint = lambda a: a.conj().T
-            mul = lambda a, b: a @ b
-        one = self.identity_block()
-        zero = self.zero_block()
+        tol = self.tolerance(tol)
+        close = lambda a, b: self.distance(a, b) <= tol
         out = []
         for i in range(1, self.n + 1):
             for j in range(1, self.n + 1):
                 u = self.block(i, j)
-                if not close(mul(u, u), u) or not close(adjoint(u), u):
+                if not close(self.mul(u, u), u) or not close(self.adjoint(u), u):
                     out.append(f"block ({i},{j}) is not a projection")
         for i in range(1, self.n + 1):
             for k in range(1, self.n + 1):
                 for l in range(k + 1, self.n + 1):
-                    if not close(mul(self.block(i, k), self.block(i, l)), zero):
+                    if not close(self.mul(self.block(i, k), self.block(i, l)), self.zero):
                         out.append(f"row {i}: blocks {k},{l} not orthogonal")
-                    if not close(mul(self.block(k, i), self.block(l, i)), zero):
+                    if not close(self.mul(self.block(k, i), self.block(l, i)), self.zero):
                         out.append(f"column {i}: blocks {k},{l} not orthogonal")
         for i in range(1, self.n + 1):
             row_sum = self.block(i, 1)
@@ -143,9 +150,9 @@ class MagicUnitary:
             for k in range(2, self.n + 1):
                 row_sum = row_sum + self.block(i, k)
                 col_sum = col_sum + self.block(k, i)
-            if not close(row_sum, one):
+            if not close(row_sum, self.one):
                 out.append(f"row {i} does not sum to the identity")
-            if not close(col_sum, one):
+            if not close(col_sum, self.one):
                 out.append(f"column {i} does not sum to the identity")
         return out
 
@@ -210,26 +217,31 @@ class InvarianceReport:
     passed: bool
 
 
-def _word_sum(mf, unitary, j_word, as_float):
-    """sum_i mf(i) * U_{i1 j1} ... U_{ik jk}, pruning structurally zero paths."""
-    n, k = unitary.n, len(j_word)
-    total = unitary.zero_block()
-    stack = [((), unitary.identity_block())]
+def _coaction_sum(unitary, j_word, pi, weight):
+    """sum over the index words i with pi <= ker i of
+    weight(i) * U_{i1 j1} ... U_{ik jk}, in the block arithmetic of `unitary`.
+
+    Depth first over the nonzero blocks: the first position of a block of pi
+    pushes the labels 1..n in order (popped last in, first out), and every
+    other position repeats the label of the first position of its block.
+    """
+    opener = [0] * len(j_word)
+    for b in pi.blocks:
+        for x in b:
+            opener[x - 1] = b[0] - 1
+    labels = range(1, unitary.n + 1)
+    total = unitary.zero
+    stack = [((), unitary.one)]
     while stack:
         prefix, prod = stack.pop()
         t = len(prefix)
-        if t == k:
-            value = mf.value(prefix)
-            if as_float:
-                value = complex(value)
-            total = total + value * prod
+        if t == len(j_word):
+            total = total + unitary.scalar(weight(prefix)) * prod
             continue
-        for i in range(1, n + 1):
-            if unitary.block_is_zero(i, j_word[t]):
-                continue
-            blk = unitary.block(i, j_word[t])
-            nxt = prod * blk if unitary.exact else prod @ blk
-            stack.append((prefix + (i,), nxt))
+        for i in labels if opener[t] == t else (prefix[opener[t]],):
+            if not unitary.block_is_zero(i, j_word[t]):
+                blk = unitary.block(i, j_word[t])
+                stack.append((prefix + (i,), unitary.mul(prod, blk)))
     return total
 
 
@@ -248,25 +260,20 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
         raise DimensionError(
             "moment functional must be indexed by the labels 1..n of the unitary"
         )
-    exact = unitary.exact
-    tol = (0 if exact else DEFAULT_TOL) if tolerance is None else tolerance
-    worst = Fraction(0) if exact else 0.0
+    tol = unitary.tolerance() if tolerance is None else tolerance
+    # 0 in the type the distances have
+    worst = unitary.distance(unitary.zero, unitary.zero)
     witness = None
     perm = unitary.permutation()
     for k in range(1, max_degree + 1):
+        finest = SetPartition.singletons(k)
         for j_word in itertools.product(range(1, unitary.n + 1), repeat=k):
             if perm is not None:
                 # the coaction sum collapses to a relabeling of the word
                 dev = abs(mf.value(tuple(perm[x - 1] for x in j_word)) - mf.value(j_word))
             else:
-                lhs = _word_sum(mf, unitary, j_word, as_float=not exact)
-                rhs = mf.value(j_word)
-                if exact:
-                    dev = abs(lhs - rhs)
-                else:
-                    dev = float(
-                        np.max(np.abs(lhs - complex(rhs) * np.eye(unitary.d)))
-                    )
+                lhs = _coaction_sum(unitary, j_word, finest, mf.value)
+                dev = unitary.distance(lhs, unitary.scalar(mf.value(j_word)) * unitary.one)
             if dev > worst:
                 worst = dev
                 witness = j_word
@@ -297,8 +304,12 @@ def permutation_deviation(mf, max_degree):
 def block_sum_identity(unitary, pi, j_word):
     """sum over index words i with pi <= ker i of the block product.
 
-    An algebra identity forces the result to the identity when
-    pi <= ker j and to zero otherwise, for every magic unitary.
+    For pi in NC(k) an algebra identity forces the result to the identity
+    when pi <= ker j and to zero otherwise, for every magic unitary (the
+    fixed-point lemma behind free de Finetti).  For a crossing pi it holds
+    for commuting blocks, as for every permutation unitary, but not in
+    general: the two-projection unitary at theta = pi/5 breaks it at
+    pi = 1,3|2,4, j = (1, 3, 1, 3).
     """
     j_word = tuple(j_word)
     if len(j_word) != pi.ground_size:
@@ -307,36 +318,13 @@ def block_sum_identity(unitary, pi, j_word):
         )
     if not all(1 <= x <= unitary.n for x in j_word):
         raise BoundError(f"labels out of range 1..{unitary.n}: {j_word}")
-    total = unitary.zero_block()
-    blocks = pi.blocks
-    for assignment in itertools.product(range(1, unitary.n + 1), repeat=len(blocks)):
-        i_word = [0] * pi.ground_size
-        for value, block in zip(assignment, blocks):
-            for x in block:
-                i_word[x - 1] = value
-        prod = unitary.identity_block()
-        dead = False
-        for t, jt in enumerate(j_word):
-            if unitary.block_is_zero(i_word[t], jt):
-                dead = True
-                break
-            blk = unitary.block(i_word[t], jt)
-            prod = prod * blk if unitary.exact else prod @ blk
-        if not dead:
-            total = total + prod
-    return total
+    return _coaction_sum(unitary, j_word, pi, lambda i: 1)
 
 
 def block_sum_matches_indicator(unitary, pi, j_word, tol=DEFAULT_TOL):
     got = block_sum_identity(unitary, pi, j_word)
-    expected = (
-        unitary.identity_block()
-        if leq(pi, kernel(j_word))
-        else unitary.zero_block()
-    )
-    if unitary.exact:
-        return got == expected
-    return float(np.max(np.abs(got - expected))) <= tol
+    expected = unitary.one if leq(pi, kernel(j_word)) else unitary.zero
+    return unitary.distance(got, expected) <= unitary.tolerance(tol)
 
 
 @dataclass(frozen=True)
@@ -528,6 +516,8 @@ def cesaro_variance(spec, n, letter="c", star=None):
     free i.i.d. family; equals phi(c*c)/n.  The n^2 terms of the pair-moment
     double sum read the labels (i1, i2) only through their kernel: n of them
     are m(1, 1) and n(n - 1) are m(1, 2)."""
+    if n < 1:
+        raise BoundError(f"n={n} must be >= 1")
     if star is None:
         starred = letter + "*"
         star = starred if starred in spec.alphabet else letter

@@ -5,6 +5,8 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 
 def gauss_jordan_inverse(rows):
     """Plain Fraction Gauss-Jordan with partial pivoting by first nonzero.
@@ -336,3 +338,55 @@ def cesaro_by_double_sum(moment, n, pair):
     for labels in itertools.product(range(1, n + 1), repeat=2):
         total += moment(pair, labels)
     return total / n**2
+
+
+def _block_arithmetic(unitary):
+    """(zero, one, product) of the unitary's blocks: Fractions and `*`, or
+    complex d x d arrays and `@`."""
+    if unitary.exact:
+        return Fraction(0), Fraction(1), operator.mul
+    d = unitary.d
+    return np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex), operator.matmul
+
+
+def word_sum_by_depth_first(value, unitary, j_word):
+    """sum_i value(i) U_{i1 j1} ... U_{ik jk} over every index word i, depth
+    first over the nonzero blocks: at each position the labels 1..n are
+    pushed in order and popped last in, first out.  Numeric unitaries take
+    value(i) as a complex number."""
+    n, k = unitary.n, len(j_word)
+    total, one, product = _block_arithmetic(unitary)
+    stack = [((), one)]
+    while stack:
+        prefix, prod = stack.pop()
+        t = len(prefix)
+        if t == k:
+            weight = value(prefix)
+            if not unitary.exact:
+                weight = complex(weight)
+            total = total + weight * prod
+            continue
+        for i in range(1, n + 1):
+            if unitary.block_is_zero(i, j_word[t]):
+                continue
+            stack.append((prefix + (i,), product(prod, unitary.block(i, j_word[t]))))
+    return total
+
+
+def block_sum_by_labelling(unitary, pi, j_word):
+    """sum over the index words i with pi <= ker i of U_{i1 j1} ... U_{ik jk},
+    over all n^|pi| labellings of the blocks of pi, one product each."""
+    total, one, product = _block_arithmetic(unitary)
+    for assignment in itertools.product(range(1, unitary.n + 1), repeat=len(pi.blocks)):
+        i_word = [0] * pi.ground_size
+        for label, block in zip(assignment, pi.blocks):
+            for x in block:
+                i_word[x - 1] = label
+        prod = one
+        for t, jt in enumerate(j_word):
+            if unitary.block_is_zero(i_word[t], jt):
+                break
+            prod = product(prod, unitary.block(i_word[t], jt))
+        else:
+            total = total + prod
+    return total

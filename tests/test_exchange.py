@@ -14,6 +14,7 @@ from qperm.cumulants import CumulantSpec, free_iid_moment, moment_nested
 from qperm.errors import BoundError, DimensionError, DomainError, SingularGramError
 from qperm.exchange import (
     MagicUnitary,
+    _coaction_sum,
     _free_vector,
     _injection_weight,
     _subset_sum,
@@ -37,16 +38,26 @@ from qperm.exchange import (
     urn_moment_quantum,
 )
 from qperm.cumulants import MomentFunctional
-from qperm.partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partitions, kernel, leq
+from qperm.partitions import (
+    K_MAX,
+    SetPartition,
+    enumerate_nc,
+    enumerate_partitions,
+    is_noncrossing,
+    kernel,
+    leq,
+)
 from qperm.weingarten import dk_value, haar_moment
 
 from _oracles import (
+    block_sum_by_labelling,
     cesaro_by_double_sum,
     classical_urn_by_permutations,
     free_side_by_cumulants,
     injection_weight_by_assignment,
     marginal_free_cumulants,
     quantum_urn_by_kernel_loop,
+    word_sum_by_depth_first,
 )
 
 P = SetPartition.from_text
@@ -111,6 +122,17 @@ class TestMagicUnitary:
     def test_broken_blocks_reported(self):
         u = MagicUnitary([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)]])
         assert u.violations()
+
+    def test_scalar_numeric_block_rejected(self):
+        with pytest.raises(DimensionError):
+            MagicUnitary([[np.array(1.0)]])
+
+    def test_exact_violations_ignore_tol(self):
+        tiny = Fraction(1, 10**12)
+        u = MagicUnitary([[1, tiny], [0, 1]])
+        assert "block (1,2) is not a projection" in u.violations()
+        numeric = MagicUnitary([[np.array([[float(x)]]) for x in row] for row in u.blocks])
+        assert numeric.violations() == []
 
 
 class TestInvariance:
@@ -246,6 +268,69 @@ class TestBlockSum:
         u = permutation_magic_unitary((1, 2))
         with pytest.raises(DimensionError):
             block_sum_identity(u, SetPartition.full(3), (1, 2))
+
+    def test_exact_comparison_ignores_tol(self):
+        half = MagicUnitary([[Fraction(1, 2)] * 2] * 2)
+        assert block_sum_identity(half, SetPartition.full(2), (1, 2)) == Fraction(1, 2)
+        assert not block_sum_matches_indicator(half, SetPartition.full(2), (1, 2), tol=1.0)
+
+    def test_two_projection_fails_only_at_crossing_partitions(self):
+        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
+        assert not block_sum_matches_indicator(u, P("1,3|2,4"), (1, 3, 1, 3))
+        failures = [
+            pi
+            for k in (4, 5)
+            for pi in enumerate_partitions(k)
+            for j_word in itertools.product(range(1, 5), repeat=k)
+            if not block_sum_matches_indicator(u, pi, j_word)
+        ]
+        assert len(failures) == 864
+        assert not any(is_noncrossing(pi) for pi in failures)
+
+    def test_permutation_unitaries_hold_on_all_partitions(self):
+        # S_n is classical: commuting blocks satisfy the identity for crossing pi too
+        cells = 0
+        for u in all_permutation_magic_unitaries(4):
+            for k in (3, 4):
+                for pi in enumerate_partitions(k):
+                    for j_word in itertools.product(range(1, 5), repeat=k):
+                        assert block_sum_matches_indicator(u, pi, j_word)
+                        cells += 1
+        assert cells == 99840
+
+
+class TestCoactionSum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_the_depth_first_and_labelling_oracles(self, k):
+        rng = random.Random(1300 + k)
+        unitaries = [
+            permutation_magic_unitary((3, 1, 4, 2)),
+            permutation_magic_unitary((2, 5, 1, 3, 4)),
+            two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA)),
+            two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.3)),
+        ]
+        finest = SetPartition.singletons(k)
+        for u in unitaries:
+            labels = range(1, u.n + 1)
+            values = {
+                i_word: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for i_word in itertools.product(labels, repeat=k)
+            }
+            for _ in range(4):
+                j_word = tuple(rng.choice(labels) for _ in range(k))
+                got = _coaction_sum(u, j_word, finest, values.__getitem__)
+                want = word_sum_by_depth_first(values.__getitem__, u, j_word)
+                if u.exact:
+                    assert got == want
+                else:
+                    assert got.tobytes() == want.tobytes()
+                for pi in enumerate_partitions(k):
+                    got = _coaction_sum(u, j_word, pi, lambda i_word: 1)
+                    want = block_sum_by_labelling(u, pi, j_word)
+                    if u.exact:
+                        assert got == want
+                    else:
+                        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestUrnMoments:
@@ -586,6 +671,11 @@ class TestCesaro:
         spec = CumulantSpec(("c",), 4, {("c",): Fraction(1), ("c", "c"): Fraction(1)})
         with pytest.raises(DomainError):
             cesaro_variance(spec, 3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(BoundError):
+            cesaro_variance(semicircular(4), n)
 
 
 class TestUrnFunctionalQuantumExchangeability:
