@@ -312,10 +312,10 @@ def _rich_spec(k_max=4):
 def criterion_8_free_implies_invariant(ns=(4, 5), k_hi=4, tol=1e-9, theta=math.pi / 5):
     start = time.perf_counter()
     spec = _rich_spec(k_hi)
-    worst_exact = max(permutation_deviation(free_iid_functional(spec, n, k_hi), k_hi) for n in ns)
-    mf4 = free_iid_functional(spec, 4, k_hi)
+    functionals = {n: free_iid_functional(spec, n, k_hi) for n in {*ns, 4}}
+    worst_exact = max(permutation_deviation(functionals[n], k_hi) for n in ns)
     u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(theta))
-    worst_complex = invariance_check(mf4, u2, max_degree=k_hi).max_deviation
+    worst_complex = invariance_check(functionals[4], u2, max_degree=k_hi).max_deviation
     passed = worst_exact == 0 and worst_complex <= tol
     return _result(
         8,

@@ -174,14 +174,14 @@ def nested_eval(pi, block_fn, operands, multiply=operator.mul, choose_interval=N
 
 
 class _Leg:
-    """A letter with algebra coefficients accumulated on both sides."""
+    """A letter with the product of the algebra coefficients absorbed on
+    its left and right."""
 
-    __slots__ = ("left", "letter", "right")
+    __slots__ = ("coeff", "letter")
 
-    def __init__(self, left, letter, right):
-        self.left = left
+    def __init__(self, coeff, letter):
+        self.coeff = coeff
         self.letter = letter
-        self.right = right
 
 
 def _leg_evaluator(spec, d):
@@ -190,7 +190,6 @@ def _leg_evaluator(spec, d):
     scaled by the ordered product of the d x d coefficients that earlier
     blocks left on its legs."""
     one = np.eye(d, dtype=complex)
-    mul = operator.matmul
 
     def scale(coeff, value):
         if isinstance(value, np.ndarray):
@@ -199,17 +198,15 @@ def _leg_evaluator(spec, d):
 
     def absorb(a, b):
         if isinstance(a, _Leg):
-            return _Leg(a.left, a.letter, mul(a.right, b))
-        return _Leg(mul(a, b.left), b.letter, b.right)
+            return _Leg(a.coeff @ b, a.letter)
+        return _Leg(a @ b.coeff, b.letter)
 
     def block_value(window):
-        coeff = one
-        for leg in window:
-            coeff = mul(mul(coeff, leg.left), leg.right)
+        coeff = reduce(operator.matmul, (leg.coeff for leg in window))
         return scale(coeff, spec.value(tuple(leg.letter for leg in window)))
 
     def evaluate(pi, word):
-        operands = [_Leg(one, s, one) for s in word]
+        operands = [_Leg(one, s) for s in word]
         return nested_eval(pi, block_value, operands, multiply=absorb)
 
     return evaluate
@@ -311,8 +308,10 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
 
     family_labels maps each alphabet symbol to its family; for every word
     and every non-crossing pi not below the kernel of the word's family
-    labels, the cumulant must be zero (exactly, for rational scalars;
-    within `tolerance` otherwise).
+    labels, the cumulant must be at most `tolerance` in absolute value.
+    The same rule holds for every value, rational or not: the default 0
+    asks for exact vanishing, and a positive tolerance forgives small
+    mixed cumulants of a rational functional too.
     """
     degree = mf.k_max if max_degree is None else min(max_degree, mf.k_max)
     violations = []

@@ -5,8 +5,8 @@ The noncommutative urn x_j = sum_i lambda_i u_ij is realized purely at the
 level of moments through the Haar integration formula; no Hilbert-space
 operators are constructed.  Permutation magic unitaries and urn moments
 are exact rationals; complex-projection magic unitaries carry a stated
-absolute tolerance (default 1e-9).  `MagicUnitary` fixes that block
-arithmetic once (`*` or `@`, exact comparison or a tolerance), and every
+absolute tolerance (default 1e-9).  `MagicUnitary` reads that arithmetic
+off its blocks (`*` or `@`, exact comparison or a tolerance), and every
 coaction sum, the invariance check's sum_i M(i) u_{i1 j1}...u_{ik jk} and
 the block sum over the index words i with pi <= ker i, is one depth-first
 walk over the nonzero blocks (`_coaction_sum`).
@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from operator import matmul, mul
 
 import numpy as np
@@ -51,21 +52,26 @@ DEFAULT_TOL = 1e-9
 class MagicUnitary:
     """n x n array of d x d projection blocks with magic row/column sums.
 
-    The block arithmetic is fixed here, once: exact instances hold Fraction
-    scalars (d = 1), multiply with `*` and compare exactly whatever the
-    tolerance; numeric instances hold complex d x d arrays, multiply with
-    `@` and compare within a tolerance (default 1e-9).
+    The block arithmetic is read from the blocks: rational scalars make an
+    exact instance (d = 1, `*`, exact comparison whatever the tolerance),
+    square arrays of one shape a numeric one (complex, `@`, comparison within
+    a tolerance, default 1e-9).  Mixed blocks raise DimensionError, scalars
+    that are not rational DomainError.
     """
 
-    def __init__(self, blocks, exact=None):
+    def __init__(self, blocks):
         rows = [list(r) for r in blocks]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionError("blocks must form a square array")
-        if exact is None:
-            exact = not isinstance(rows[0][0], np.ndarray)
-        self.exact = exact
-        if exact:
+        arrays = sum(isinstance(x, np.ndarray) for r in rows for x in r)
+        if 0 < arrays < n * n:
+            raise DimensionError("blocks must be all scalars or all matrices")
+        self.exact = arrays == 0
+        self._permutation = None
+        if self.exact:
+            if not all(isinstance(x, Rational) for r in rows for x in r):
+                raise DomainError("scalar blocks must be rational")
             self.d = 1
             self.blocks = tuple(tuple(Fraction(x) for x in r) for r in rows)
             self.one, self.zero = Fraction(1), Fraction(0)
@@ -109,23 +115,9 @@ class MagicUnitary:
         return not self._nonzero[i - 1][j - 1]
 
     def permutation(self):
-        """The permutation this unitary encodes, or None.
-
-        Scalar projections are 0 or 1 and magic sums force one 1 per row
-        and column, so every valid exact unitary with d = 1 is of this form.
-        """
-        if not self.exact:
-            return None
-        images = []
-        for j in range(1, self.n + 1):
-            column = [self.block(i, j) for i in range(1, self.n + 1)]
-            ones = [i for i, x in enumerate(column, start=1) if x == 1]
-            if len(ones) != 1 or any(x not in (0, 1) for x in column):
-                return None
-            images.append(ones[0])
-        if sorted(images) != list(range(1, self.n + 1)):
-            return None
-        return tuple(images)
+        """The permutation `permutation_magic_unitary` recorded, or None:
+        nothing is read off the blocks."""
+        return self._permutation
 
     def violations(self, tol=DEFAULT_TOL):
         """All failures of the magic relations, as human-readable strings."""
@@ -170,7 +162,9 @@ def permutation_magic_unitary(perm):
         [Fraction(1) if i == perm[j - 1] else Fraction(0) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    return MagicUnitary(blocks, exact=True)
+    unitary = MagicUnitary(blocks)
+    unitary._permutation = perm
+    return unitary
 
 
 def all_permutation_magic_unitaries(n):
@@ -205,7 +199,7 @@ def two_projection_magic_unitary(p, q, tol=DEFAULT_TOL):
         [z, z, q, one - q],
         [z, z, one - q, q],
     ]
-    return MagicUnitary(blocks, exact=False)
+    return MagicUnitary(blocks)
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,10 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
 
     For every word j of length <= max_degree the coaction average
     sum_i mf(i) U_{i1 j1}...U_{ik jk} must equal mf(j) times the identity
-    block.  Exact magic unitaries are checked with exact arithmetic;
+    block.  The comparison tolerance is `unitary.tolerance(tolerance)`
+    (`tolerance` defaults to 1e-9): exact unitaries are checked at 0
+    whatever `tolerance` says, and report tolerance 0.  A unitary from
+    `permutation_magic_unitary` relabels the word instead of summing;
     deviation 0 for every permutation unitary is classical exchangeability,
     passing a noncommutative unitary is the stronger quantum condition.
     """
@@ -260,7 +257,7 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
         raise DimensionError(
             "moment functional must be indexed by the labels 1..n of the unitary"
         )
-    tol = unitary.tolerance() if tolerance is None else tolerance
+    tol = unitary.tolerance(DEFAULT_TOL if tolerance is None else tolerance)
     # 0 in the type the distances have
     worst = unitary.distance(unitary.zero, unitary.zero)
     witness = None

@@ -369,6 +369,7 @@ def _mobius_row(k, a):
     from finer to coarser (the enumeration order)."""
     nc, _, up = _nc_order_data(k)
     down = _down_masks(k)
+    start = time.perf_counter()
     row = [0] * len(nc)
     row[a] = 1
     mask = up[a]
@@ -383,6 +384,7 @@ def _mobius_row(k, a):
                 s += row[t]
             bit &= bit - 1
         row[b] = -s
+    _debug(__name__, "mobius row k=%d a=%d seconds=%.4f", k, a, time.perf_counter() - start)
     return tuple(row)
 
 

@@ -390,3 +390,33 @@ def block_sum_by_labelling(unitary, pi, j_word):
         else:
             total = total + prod
     return total
+
+
+def two_coefficient_leg_evaluator(spec, d, nested_eval):
+    """Nested evaluation of a letter word at a partition in M_d, with the
+    coefficients absorbed on each leg kept apart: a leg is (left, letter,
+    right), an operand on its right multiplies `right`, one on its left
+    multiplies `left`, and a block's value is `spec.value` of its letters
+    scaled by one @ left_1 @ right_1 @ left_2 @ right_2 ... over its legs.
+    `nested_eval` is the collapse of `qperm.cumulants`."""
+    one = np.eye(d, dtype=complex)
+
+    def absorb(a, b):
+        if isinstance(a, tuple):
+            return (a[0], a[1], a[2] @ b)
+        return (a @ b[0], b[1], b[2])
+
+    def block_value(window):
+        coeff = one
+        for left, _, right in window:
+            coeff = coeff @ left @ right
+        value = spec.value(tuple(leg[1] for leg in window))
+        if isinstance(value, np.ndarray):
+            return coeff @ np.asarray(value, dtype=complex)
+        return complex(value) * coeff
+
+    def evaluate(pi, word):
+        operands = [(one, s, one) for s in word]
+        return nested_eval(pi, block_value, operands, multiply=absorb)
+
+    return evaluate

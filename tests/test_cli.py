@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qperm.acceptance import _rich_spec
 from qperm.cli import ExperimentConfig, build_parser, main
 from qperm.errors import QpermError
+from qperm.exchange import free_iid_functional
 from qperm.weingarten import rational_str
 
 
@@ -191,6 +193,20 @@ class TestCumulantsCli:
         assert report["pass"] is False
         assert report["results"]["violations"]
 
+    def test_check_free_tolerance_applies_to_rationals(self, capsys, tmp_path):
+        # kappa(a, b) = kappa(b, a) = 1/1000: not free exactly, free within 1/100
+        moments = {"a": "0", "b": "0", "a,a": "1", "b,b": "1", "a,b": "1/1000", "b,a": "1/1000"}
+        path = tmp_path / "mf.json"
+        path.write_text(json.dumps({"alphabet": ["a", "b"], "k_max": 2, "moments": moments}))
+        args = ("cumulants", "check-free", "--moments", str(path), "--families", "a=1,b=2")
+        code, report = run_json(capsys, *args)
+        assert code == 2
+        assert report["results"]["free"] is False
+        assert {v["value"] for v in report["results"]["violations"]} == {"1/1000"}
+        code, report = run_json(capsys, *args, "--tol", "1/100")
+        assert code == 0
+        assert report["results"]["free"] is True
+
 
 class TestUrnCli:
     def test_quantum(self, capsys):
@@ -289,6 +305,20 @@ class TestMagicCli:
             "--moments", str(path), "--degree", "4",
         )
         assert code == 0
+
+    def test_exact_invariance_ignores_tol(self, capsys, tmp_path):
+        # criterion 8's n = 4 functional, one word raised off its kernel class
+        mf = free_iid_functional(_rich_spec(4), 4, 4)
+        mf.moments[(1, 3, 2, 3)] += Fraction(1, 10)
+        path = tmp_path / "mf.json"
+        path.write_text(json.dumps(mf.to_json_dict()))
+        args = ("magic", "invariance", "--perm", "2,1,3,4", "--moments", str(path), "--degree", "4")
+        for tol in ((), ("--tol", "2")):
+            code, report = run_json(capsys, *args, *tol)
+            assert code == 2
+            assert report["pass"] is False
+            assert report["results"]["max_deviation"] == "1/10"
+            assert report["results"]["witness"] == [1, 3, 2, 3]
 
 
 class TestReproduceAll:

@@ -9,6 +9,7 @@ from qperm.cumulants import (
     CumulantSpec,
     MatrixProbabilitySpace,
     MomentFunctional,
+    _leg_evaluator,
     cumulants_to_moments,
     free_iid_moment,
     freeness_check,
@@ -23,7 +24,7 @@ from qperm.acceptance import (
 from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.partitions import SetPartition, enumerate_nc
 
-from _oracles import nc_block_sum, nc_moment_sum
+from _oracles import nc_block_sum, nc_moment_sum, two_coefficient_leg_evaluator
 
 P = SetPartition.from_text
 
@@ -436,6 +437,28 @@ class TestMatrixLayer:
         )
         got = free_iid_moment(spec, ("c",) * 4, (1, 2, 1, 2))
         assert np.allclose(got, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_coefficient_legs_match_two_coefficient_oracle(self, seed):
+        # one product per leg only reassociates the two-coefficient products
+        rng = np.random.default_rng(seed)
+        d, letters = 3, ("a", "b")
+        values = {
+            word: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            for s in range(1, 7)
+            for word in itertools.product(letters, repeat=s)
+        }
+        spec = CumulantSpec(alphabet=letters, k_max=6, values=values)
+        got = _leg_evaluator(spec, d)
+        want = two_coefficient_leg_evaluator(spec, d, nested_eval)
+        words = random.Random(seed)
+        for k in range(1, 7):
+            for _ in range(3):
+                word = tuple(words.choice(letters) for _ in range(k))
+                for pi in enumerate_nc(k):
+                    expected = want(pi, word)
+                    scale = np.max(np.abs(expected))
+                    assert np.max(np.abs(got(pi, word) - expected)) <= 1e-12 * scale
 
 
 class TestSerialization:

@@ -134,6 +134,16 @@ class TestMagicUnitary:
         numeric = MagicUnitary([[np.array([[float(x)]]) for x in row] for row in u.blocks])
         assert numeric.violations() == []
 
+    def test_mixed_scalar_and_matrix_blocks_rejected(self):
+        with pytest.raises(DimensionError):
+            MagicUnitary([[0, np.eye(1)], [np.eye(1), 0]])
+
+    def test_non_rational_scalar_blocks_rejected(self):
+        with pytest.raises(DomainError):
+            MagicUnitary([[1j]])
+        with pytest.raises(DomainError):
+            MagicUnitary([[1.0, 0], [0, 1]])
+
 
 class TestInvariance:
     def test_free_functional_invariant_under_permutations(self):
@@ -185,6 +195,32 @@ class TestInvariance:
             assert invariance_check(mf, u, max_degree=k_max).max_deviation == 0
         u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.1))
         assert invariance_check(mf, u, max_degree=k_max).max_deviation <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_raw_permutation_blocks_take_the_coaction_sum(self, n):
+        # no recorded permutation: the coaction sum must agree with the relabelling
+        rng = random.Random(1400 + n)
+        mf = free_iid_functional(semicircular(3), n, 3)
+        for word in rng.sample(sorted(mf.moments), 5):
+            mf.moments[word] += Fraction(rng.randint(1, 9), rng.randint(2, 7))
+        deviations = []
+        for perm in rng.sample(list(itertools.permutations(range(1, n + 1))), 6):
+            recorded = permutation_magic_unitary(perm)
+            raw = MagicUnitary(recorded.blocks)
+            assert recorded.permutation() == perm and raw.permutation() is None
+            for degree in (1, 2, 3):
+                want = invariance_check(mf, recorded, max_degree=degree)
+                got = invariance_check(mf, raw, max_degree=degree)
+                assert (got.max_deviation, got.witness) == (want.max_deviation, want.witness)
+                deviations.append(want.max_deviation)
+        assert max(deviations) > 0
+
+    def test_exact_check_ignores_tolerance(self):
+        mf = free_iid_functional(semicircular(2), 3, 2)
+        mf.moments[(1, 2)] += Fraction(1, 10)
+        report = invariance_check(mf, permutation_magic_unitary((2, 1, 3)), 2, tolerance=2)
+        assert report.max_deviation == Fraction(1, 10)
+        assert report.tolerance == 0 and not report.passed
 
     def test_degree_above_kmax_rejected(self):
         mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)

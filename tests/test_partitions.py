@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.partitions import (
     SetPartition,
+    _mobius_row,
     _nc_below,
     _nc_order_data,
     enumerate_nc,
@@ -315,6 +317,17 @@ class TestOrderMasks:
         records = [r for r in caplog.records if r.name == "qperm.partitions"]
         assert len(records) == 1
         assert records[0].getMessage().startswith("NC order k=4 N=14 seconds=")
+
+    def test_mobius_row_build_logs_one_debug_record(self, caplog):
+        logger = logging.getLogger("qperm.partitions")
+        assert not logger.isEnabledFor(logging.DEBUG)
+        _mobius_row(4, 0)  # built first: the NC order has its own record
+        with caplog.at_level(logging.DEBUG, logger="qperm.partitions"):
+            row = _mobius_row.__wrapped__(4, 2)
+        messages = [r.getMessage() for r in caplog.records if r.name == "qperm.partitions"]
+        assert len(messages) == 1
+        assert re.fullmatch(r"mobius row k=4 a=2 seconds=\d+\.\d{4}", messages[0])
+        assert row == _mobius_row(4, 2)
 
 
 class TestMobius:
