@@ -74,11 +74,15 @@ def _parse_ints(text):
         raise QpermError(f"bad integer list {text!r}") from exc
 
 
-def _parse_rationals(text):
+def _parse_rational(text):
     try:
-        return tuple(Fraction(x) for x in text.split(","))
-    except ValueError as exc:
-        raise QpermError(f"bad rational list {text!r}") from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise QpermError(f"bad rational {text!r}") from exc
+
+
+def _parse_rationals(text):
+    return tuple(_parse_rational(x) for x in text.split(","))
 
 
 def _parse_families(text):
@@ -271,7 +275,7 @@ def cmd_cumulants_check_free(args):
     mf = MomentFunctional.from_json_dict(_load_json(args.moments))
     families = _parse_families(args.families)
     verdict = freeness_check(
-        mf, families, tolerance=Fraction(args.tol) if args.tol else 0,
+        mf, families, tolerance=_parse_rational(args.tol) if args.tol else 0,
         max_degree=args.kmax,
     )
     results = {
@@ -368,6 +372,7 @@ def cmd_magic_invariance(args):
         else float(report.max_deviation),
         "witness": list(report.witness) if report.witness else None,
         "degree": report.degree,
+        "tolerance": report.tolerance,
     }
     config = {
         "perm": args.perm,
@@ -379,10 +384,38 @@ def cmd_magic_invariance(args):
     return _emit("magic invariance", config, results, report.passed)
 
 
-def _write_timings(path, results):
-    """Each criterion's seconds and cache_info() of every module-level memo
-    table in qperm, as JSON in a file: timings vary from run to run, so they
-    stay off stdout."""
+def _recording_builds(run):
+    """(run(), builds): `builds` maps each kind of table build that logged a
+    debug record during run() to its count and summed seconds.  A build's
+    record names its kind before " k=" and passes its seconds last."""
+    # imported here, so that only --timings pays for the logging package
+    import logging
+
+    builds = {}
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            entry = builds.setdefault(
+                record.msg.partition(" k=")[0], {"count": 0, "seconds": 0.0}
+            )
+            entry["count"] += 1
+            entry["seconds"] += record.args[-1]
+
+    logger = logging.getLogger(__package__)
+    handler, level = Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return run(), builds
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _write_timings(path, results, builds):
+    """Each criterion's seconds, the count and seconds of each kind of table
+    build, and cache_info() of every module-level memo table in qperm, as
+    JSON in a file: timings vary from run to run, so they stay off stdout."""
     caches = {}
     for module_name, module in sorted(sys.modules.items()):
         if not module_name.startswith(f"{__package__}."):
@@ -393,8 +426,9 @@ def _write_timings(path, results):
     criteria = [
         {"criterion": r.number, "name": r.name, "seconds": r.seconds} for r in results
     ]
+    report = {"criteria": criteria, "builds": dict(sorted(builds.items())), "caches": caches}
     with open(path, "w") as fh:
-        json.dump({"criteria": criteria, "caches": caches}, fh, indent=2)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
 
 
@@ -406,14 +440,20 @@ def cmd_reproduce_all(args):
         tolerance=args.tol,
         seed=args.seed,
     )
-    results = acceptance.run_all(
-        k_max=config_obj.k_max,
-        n_hi=hi,
-        tolerance=config_obj.tolerance,
-        seed=config_obj.seed,
-    )
+
+    def run():
+        return acceptance.run_all(
+            k_max=config_obj.k_max,
+            n_hi=hi,
+            tolerance=config_obj.tolerance,
+            seed=config_obj.seed,
+        )
+
     if args.timings:
-        _write_timings(args.timings, results)
+        results, builds = _recording_builds(run)
+        _write_timings(args.timings, results, builds)
+    else:
+        results = run()
     config = {**asdict(config_obj), "n_range": f"{lo}..{hi}"}
     all_pass = all(r.passed for r in results)
     if args.csv:

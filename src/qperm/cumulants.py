@@ -8,19 +8,20 @@ over the partitions below a kernel, and the vanishing-mixed-cumulants
 freeness test.  The recursive interval-extraction evaluator `nested_eval`
 serves the matrix instantiation, where the order of the factors matters.
 
-Scalars are exact rationals throughout; the matrix instantiation (values
-and operand coefficients in M_d(C)) is the only approximate layer, with
-tolerances stated at the call sites.  Operands are opaque algebra
-elements: interleaved algebra factors are absorbed into neighbouring
-operands, which is the deliberate narrowing of the fully general
-operator-valued setting.
+Scalars are exact rationals, summed in integers over one common denominator
+(one Fraction per sum); the matrix instantiation (values and operand
+coefficients in M_d(C)) is the only approximate layer, with tolerances
+stated at the call sites.  Operands are opaque algebra elements:
+interleaved algebra factors are absorbed into neighbouring operands, which
+is the deliberate narrowing of the fully general operator-valued setting.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -212,34 +213,48 @@ def _leg_evaluator(spec, d):
     return evaluate
 
 
-def _block_product(source, pi, word):
-    """prod over the blocks V of pi, in block order, of source.value(word|V):
-    the nested value of a non-crossing pi when the values commute.  `source`
-    is a CumulantSpec or a MomentFunctional; every block is looked up, so a
-    zero factor does not hide a word the source cannot evaluate."""
-    factors = (source.value(tuple(word[x - 1] for x in b)) for b in pi.blocks)
-    return reduce(operator.mul, factors)
+def _block_products(value, word, partitions):
+    """(products, den), products[i] / den = prod_{V in partitions[i]} value(word|V).
+
+    Each distinct block is read once, all before any product, so a zero factor
+    hides no word `value` cannot evaluate.  Rationals go over their common
+    denominator L, products[i] = L^(k - |pi|) prod_V L value(word|V) with
+    k = len(word) and den = L^k; floats and complex give the products, den None."""
+    letters = ((None,) + word).__getitem__
+    blocks = dict.fromkeys(b for pi in partitions for b in pi.blocks)
+    values = {b: value(tuple(map(letters, b))) for b in blocks}
+    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
+        products = [reduce(operator.mul, map(values.__getitem__, pi.blocks)) for pi in partitions]
+        return products, None
+    den = math.lcm(*(v.denominator for v in values.values()))
+    values = {b: v.numerator * (den // v.denominator) for b, v in values.items()}
+    scale = [den ** (len(word) - size) for size in range(len(word) + 1)]
+    products = [
+        scale[len(pi.blocks)] * math.prod(map(values.__getitem__, pi.blocks)) for pi in partitions
+    ]
+    return products, den ** len(word)
+
+
+def _block_sum(value, word, terms):
+    """sum over (pi, c) in terms of c * prod_{V in pi} value(word|V), by `_block_products`."""
+    partitions, coeffs = zip(*terms)
+    products, den = _block_products(value, word, partitions)
+    total = sum(map(operator.mul, coeffs, products))
+    return total if den is None else Fraction(total, den)
 
 
 def _spec_sum(spec, word, admissible):
     """Sum over a set of NC partitions of the nested block values: plain
-    block products for scalar values, `nested_eval` in M_d for matrices."""
+    block products for scalar values, summed in integers over one common
+    denominator by `_block_sum`, and `nested_eval` in M_d for matrices."""
     word = tuple(word)
-    k = len(word)
-    if k > spec.k_max:
-        raise BoundError(f"degree {k} exceeds k_max={spec.k_max}")
+    if len(word) > spec.k_max:
+        raise BoundError(f"degree {len(word)} exceeds k_max={spec.k_max}")
     d = spec.matrix_dim()
     if d is None:
-        terms = (_block_product(spec, pi, word) for pi in admissible)
-    else:
-        evaluate = _leg_evaluator(spec, d)
-        terms = (evaluate(pi, word) for pi in admissible)
-    total = None
-    for term in terms:
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0) if d is None else np.zeros((d, d), dtype=complex)
-    return total
+        return _block_sum(spec.value, word, zip(admissible, itertools.repeat(1)))
+    evaluate = _leg_evaluator(spec, d)
+    return reduce(operator.add, (evaluate(pi, word) for pi in admissible))
 
 
 def cumulants_to_moments(spec, word):
@@ -251,34 +266,20 @@ def moment_nested(mf, pi, word):
     """Nested moment function: intervals collapse through the functional."""
     word = tuple(word)
     if len(word) != pi.ground_size:
-        raise DimensionError(
-            f"word length {len(word)} differs from ground size {pi.ground_size}"
-        )
+        raise DimensionError(f"word length {len(word)} differs from ground size {pi.ground_size}")
     if not is_noncrossing(pi):
         raise DomainError(f"partition is not non-crossing: {pi}")
-    return _block_product(mf, pi, word)
+    return _block_sum(mf.value, word, ((pi, 1),))
 
 
 def moments_to_cumulants(mf, pi, word):
     """Cumulant function at pi by Moebius inversion over NC(k); a pi that
     crosses raises DomainError."""
     word = tuple(word)
-    k = len(word)
-    if pi.ground_size != k:
-        raise DimensionError(
-            f"word length {k} differs from ground size {pi.ground_size}"
-        )
-    return _mobius_inversion(pi, lambda sigma: _block_product(mf, sigma, word))
-
-
-def _mobius_inversion(pi, nested):
-    """sum over sigma <= pi in NC(k) of mu(sigma, pi) * nested(sigma); a pi
-    that crosses raises DomainError, and every sigma is non-crossing, so
-    `nested` need not check."""
-    total = Fraction(0)
-    for sigma, mu in _mobius_below(pi):
-        total += mu * nested(sigma)
-    return total
+    if len(word) != pi.ground_size:
+        raise DimensionError(f"word length {len(word)} differs from ground size {pi.ground_size}")
+    nc = enumerate_nc(len(word))
+    return _block_sum(mf.value, word, ((nc[a], mu) for a, mu in _mobius_below(pi)))
 
 
 def free_iid_moment(spec, letters, labels):
@@ -287,9 +288,7 @@ def free_iid_moment(spec, letters, labels):
     letters = tuple(letters)
     labels = tuple(labels)
     if len(letters) != len(labels):
-        raise DimensionError(
-            f"{len(letters)} letters vs {len(labels)} labels"
-        )
+        raise DimensionError(f"{len(letters)} letters vs {len(labels)} labels")
     below = _nc_below(kernel(labels))
     nc = _all_nc(len(labels))
     return _spec_sum(spec, letters, [nc[a] for a in below])
@@ -311,29 +310,30 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
     labels, the cumulant must be at most `tolerance` in absolute value.
     The same rule holds for every value, rational or not: the default 0
     asks for exact vanishing, and a positive tolerance forgives small
-    mixed cumulants of a rational functional too.
+    mixed cumulants of a rational functional too; a negative one raises DomainError.
     """
+    if tolerance < 0:
+        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     degree = mf.k_max if max_degree is None else min(max_degree, mf.k_max)
     violations = []
-    words = 0
     for k in range(1, degree + 1):
         ncs = enumerate_nc(k)
         for word in itertools.product(mf.alphabet, repeat=k):
-            words += 1
-            fams = tuple(family_labels[s] for s in word)
-            below = set(_nc_below(kernel(fams)))
-            nested = cache(lambda sigma, word=word: _block_product(mf, sigma, word))
-            for a, pi in enumerate(ncs):
-                if a in below:
-                    continue
-                value = _mobius_inversion(pi, nested)
-                if abs(value) > tolerance:
-                    violations.append((pi, word, value))
+            below = set(_nc_below(kernel(tuple(family_labels[s] for s in word))))
+            if len(below) == len(ncs):
+                continue  # one family: no mixed cumulant, no moment to read
+            products, den = _block_products(mf.value, word, ncs)
+            for b, pi in enumerate(ncs):
+                if b not in below:
+                    total = sum(mu * products[a] for a, mu in _mobius_below(pi))
+                    value = total if den is None else Fraction(total, den)
+                    if abs(value) > tolerance:
+                        violations.append((pi, word, value))
     return FreenessVerdict(
         free=not violations,
         violations=tuple(violations),
         tolerance=tolerance,
-        words_checked=words,
+        words_checked=sum(len(mf.alphabet) ** k for k in range(1, degree + 1)),
     )
 
 

@@ -246,7 +246,8 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
     sum_i mf(i) U_{i1 j1}...U_{ik jk} must equal mf(j) times the identity
     block.  The comparison tolerance is `unitary.tolerance(tolerance)`
     (`tolerance` defaults to 1e-9): exact unitaries are checked at 0
-    whatever `tolerance` says, and report tolerance 0.  A unitary from
+    whatever `tolerance` says, and report tolerance 0; a negative
+    `tolerance` raises DomainError.  A unitary from
     `permutation_magic_unitary` relabels the word instead of summing;
     deviation 0 for every permutation unitary is classical exchangeability,
     passing a noncommutative unitary is the stronger quantum condition.
@@ -257,6 +258,8 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
         raise DimensionError(
             "moment functional must be indexed by the labels 1..n of the unitary"
         )
+    if tolerance is not None and tolerance < 0:
+        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     tol = unitary.tolerance(DEFAULT_TOL if tolerance is None else tolerance)
     # 0 in the type the distances have
     worst = unitary.distance(unitary.zero, unitary.zero)
@@ -418,9 +421,15 @@ def _free_vector(model, k):
     kappa_q = sum_{p <= q} mu(p, q) m(p) is f(q) / den with
     f(q) = sum_p mu(p, q) w(p) n^{k - |p|} and den = D^k n^k."""
     scale, weights = _nc_weights(model, k)
+    rows = [_mobius_row(k, a) for a in range(len(weights))]
+    start = time.perf_counter()
     coeffs = [w * model.n ** (k - p.block_count()) for p, w in zip(enumerate_nc(k), weights)]
-    columns = zip(*(_mobius_row(k, a) for a in range(len(coeffs))))
-    return tuple(sum(map(mul, coeffs, column)) for column in columns), scale * model.n**k
+    vector = tuple(sum(map(mul, coeffs, column)) for column in zip(*rows))
+    _debug(
+        __name__, "free vector k=%d n=%d N=%d seconds=%.4f",
+        k, model.n, len(vector), time.perf_counter() - start,
+    )
+    return vector, scale * model.n**k
 
 
 def _subset_sum(vector, den, j_word):

@@ -326,7 +326,10 @@ def kernel(indices):
 
 
 def _debug(module, message, *args):
-    """One `logging` debug record of a table build, on the logger of `module`."""
+    """One `logging` debug record of a table build, on the logger of `module`.
+
+    `message` starts with the kind of build and " k=", and the build's
+    seconds are the last of `args`: `reproduce-all --timings` sums them."""
     # imported here, so that `import qperm` does not pay for the logging package
     import logging
 
@@ -420,15 +423,14 @@ def _nc_index(k, p):
 
 
 def _mobius_below(pi):
-    """(sigma, mu(sigma, pi)) for every sigma of NC(k) below pi, in
-    enumeration order; a pi that crosses raises DomainError."""
+    """(a, mu(nc[a], pi)) for every nc[a] of NC(k) below pi, in enumeration
+    order; a pi that crosses raises DomainError."""
     k = pi.ground_size
     b = _nc_index(k, pi)
-    nc = _all_nc(k)
     bits = _down_masks(k)[b]
     while bits:
         a = (bits & -bits).bit_length() - 1
-        yield nc[a], _mobius_row(k, a)[b]
+        yield a, _mobius_row(k, a)[b]
         bits &= bits - 1
 
 

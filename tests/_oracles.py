@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -97,6 +98,31 @@ def nc_moment_sum(spec_values, letters, labels, enumerate_nc, leq, kernel):
         for b in pi.blocks:
             term *= spec_values.get((len(b), tuple(letters[x - 1] for x in b)), Fraction(0))
         total += term
+    return total
+
+
+def block_product(source, pi, word):
+    """prod over the blocks V of pi, in block order, of source.value(word|V),
+    in the arithmetic of the values: the nested value of a non-crossing pi
+    when the values commute.  `source` is a CumulantSpec or a
+    MomentFunctional; every block is looked up."""
+    factors = (source.value(tuple(word[x - 1] for x in b)) for b in pi.blocks)
+    return reduce(operator.mul, factors)
+
+
+def block_product_sum(source, word, partitions):
+    """sum over the partitions of `block_product`, added left to right in the
+    arithmetic of the values."""
+    return reduce(operator.add, (block_product(source, pi, word) for pi in partitions))
+
+
+def mobius_inversion(pi, nested, mobius_below):
+    """sum over sigma <= pi in NC(k) of mu(sigma, pi) * nested(sigma), in the
+    order of `mobius_below(pi)`, a list of (sigma, mu) pairs, accumulated
+    from Fraction(0)."""
+    total = Fraction(0)
+    for sigma, mu in mobius_below(pi):
+        total += mu * nested(sigma)
     return total
 
 

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qperm
 from qperm.acceptance import _rich_spec
 from qperm.cli import ExperimentConfig, build_parser, main
 from qperm.errors import QpermError
@@ -207,6 +211,20 @@ class TestCumulantsCli:
         assert code == 0
         assert report["results"]["free"] is True
 
+    @pytest.mark.parametrize(
+        "tol, message", [("--tol=-1/100", "tolerance must be >= 0"), ("--tol=abc", "bad rational")]
+    )
+    def test_check_free_refuses_a_bad_tolerance(self, capsys, tmp_path, tol, message):
+        # every mixed cumulant is exactly 0, so only the tolerance can fail the run
+        moments = {"a": "0", "b": "0", "a,a": "1", "b,b": "1", "a,b": "0", "b,a": "0"}
+        path = tmp_path / "mf.json"
+        path.write_text(json.dumps({"alphabet": ["a", "b"], "k_max": 2, "moments": moments}))
+        args = ["cumulants", "check-free", "--moments", str(path), "--families", "a=1,b=2"]
+        assert main(args + [tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
 
 class TestUrnCli:
     def test_quantum(self, capsys):
@@ -299,6 +317,7 @@ class TestMagicCli:
         assert code == 2
         assert report["pass"] is False
         assert report["results"]["max_deviation"] > 1e-3
+        assert report["results"]["tolerance"] == 1e-9
         code, report = run_json(
             capsys,
             "magic", "invariance", "--perm", "2,1,4,3",
@@ -319,6 +338,10 @@ class TestMagicCli:
             assert report["pass"] is False
             assert report["results"]["max_deviation"] == "1/10"
             assert report["results"]["witness"] == [1, 3, 2, 3]
+            assert report["results"]["tolerance"] == 0
+        assert main([*args, "--tol=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance must be >= 0" in captured.err
 
 
 class TestReproduceAll:
@@ -360,6 +383,17 @@ class TestReproduceAll:
         assert pair["currsize"] >= 1
         assert "qperm.partitions._all_nc" in timings["caches"]
         assert "qperm.exchange._urn_vector" in timings["caches"]
+        # tables built by earlier tests are cached here, so only some builds show
+        assert all(b["count"] >= 1 and b["seconds"] >= 0 for b in timings["builds"].values())
+        cold = tmp_path / "cold.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(qperm.__file__).resolve().parents[1])}
+        command = [sys.executable, "-m", "qperm.cli", *args, "--timings", str(cold)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and done.stdout == plain
+        assert set(json.loads(cold.read_text())["builds"]) == {
+            "NC order", "mobius row", "join exponents", "inverse", "certificate",
+            "urn vector", "free vector",
+        }
 
     def test_zero_tolerance_flags_complex_checks_without_crashing(self, capsys):
         code, report = run_json(

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -22,9 +24,16 @@ from qperm.acceptance import (
     _partitions_by_function_kernels as partitions_by_function_kernels,
 )
 from qperm.errors import BoundError, DimensionError, DomainError
-from qperm.partitions import SetPartition, enumerate_nc
+from qperm.partitions import SetPartition, enumerate_nc, kernel, leq, mobius_nc
 
-from _oracles import nc_block_sum, nc_moment_sum, two_coefficient_leg_evaluator
+from _oracles import (
+    block_product,
+    block_product_sum,
+    mobius_inversion,
+    nc_block_sum,
+    nc_moment_sum,
+    two_coefficient_leg_evaluator,
+)
 
 P = SetPartition.from_text
 
@@ -317,6 +326,11 @@ class TestFreenessCheck:
         hits = [v for v in verdict.violations if v[0] == full and v[1] == ("a", "b", "a", "b")]
         assert hits and hits[0][2] == 1
 
+    def test_negative_tolerance_rejected(self):
+        mf = MomentFunctional(("a", "b"), 1, {("a",): Fraction(0), ("b",): Fraction(0)})
+        with pytest.raises(DomainError, match="tolerance"):
+            freeness_check(mf, {"a": 1, "b": 2}, tolerance=Fraction(-1, 100))
+
     def test_single_letter_family_always_free(self):
         rng = random.Random(1)
         moments = {}
@@ -380,6 +394,97 @@ class TestScalarBlockProducts:
             moment_nested(mf, P("1,3|2"), ("a", "b", "a"))
         with pytest.raises(DomainError):
             moments_to_cumulants(mf, SetPartition.full(2), ("a", "b"))
+        with pytest.raises(DomainError):
+            freeness_check(mf, {"a": 1, "b": 2})
+
+
+@cache
+def primes_above(start, count):
+    """The first `count` primes above `start`, by trial division."""
+    primes = []
+    n = start
+    while len(primes) < count:
+        n += 1
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+    return primes
+
+
+VALUE_KINDS = ("zeros", "integers", "coprime", "float", "complex")
+
+
+def scalar_values(rng, kind, k_max, alphabet=("a", "b")):
+    """One value for each word of length 1..k_max: rationals with zeros and
+    negative values, Python ints, rationals over pairwise coprime (distinct
+    prime) denominators near 10^6, floats, or complex numbers."""
+    words = [w for s in range(1, k_max + 1) for w in itertools.product(alphabet, repeat=s)]
+    dens = primes_above(10**6, len(words))
+    make = {
+        "zeros": lambda i: Fraction(rng.randint(-4, 4) * rng.randint(0, 1), rng.randint(1, 5)),
+        "integers": lambda i: rng.randint(-5, 5),
+        "coprime": lambda i: Fraction(rng.randint(-(10**6), 10**6), dens[i]),
+        "float": lambda i: rng.uniform(-2, 2),
+        "complex": lambda i: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+    }[kind]
+    return {w: make(i) for i, w in enumerate(words)}
+
+
+def mobius_pairs(pi):
+    """(sigma, mu(sigma, pi)) for the sigma <= pi of NC(k), in enumeration order."""
+    return [(s, mobius_nc(s, pi)) for s in enumerate_nc(pi.ground_size) if leq(s, pi)]
+
+
+class TestIntegerRoute:
+    """The integer sums over one common denominator against the oracles that
+    multiply and add the values one at a time in their own arithmetic
+    (Fractions for rationals); float and complex values must agree with ==."""
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_spec_sums_match_the_block_product_oracle(self, kind):
+        rng = random.Random(f"spec:{kind}")
+        spec = CumulantSpec(("a", "b"), 7, scalar_values(rng, kind, 7))
+        for k in range(1, 8):
+            for _ in range(3):
+                letters = tuple(rng.choice("ab") for _ in range(k))
+                labels = tuple(rng.randint(1, 3) for _ in range(k))
+                below = [pi for pi in enumerate_nc(k) if leq(pi, kernel(labels))]
+                expected = block_product_sum(spec, letters, enumerate_nc(k))
+                assert cumulants_to_moments(spec, letters) == expected
+                expected = block_product_sum(spec, letters, below)
+                assert free_iid_moment(spec, letters, labels) == expected
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_functional_sums_match_the_oracles(self, kind):
+        rng = random.Random(f"functional:{kind}")
+        mf = MomentFunctional(("a", "b"), 7, scalar_values(rng, kind, 7))
+        for k in range(1, 8):
+            word = tuple(rng.choice("ab") for _ in range(k))
+            nc = enumerate_nc(k)
+            for pi in rng.sample(nc, min(5, len(nc))) + [SetPartition.full(k)]:
+                assert moment_nested(mf, pi, word) == block_product(mf, pi, word)
+                expected = mobius_inversion(
+                    pi, lambda sigma: block_product(mf, sigma, word), mobius_pairs
+                )
+                assert moments_to_cumulants(mf, pi, word) == expected
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_freeness_violations_match_the_oracle(self, kind):
+        # every word of length <= 5 (62 words); through the Fraction oracle,
+        # length 7 (254 words) would take minutes
+        rng = random.Random(f"freeness:{kind}")
+        mf = MomentFunctional(("a", "b"), 5, scalar_values(rng, kind, 5))
+        families = {"a": 1, "b": 2}
+        expected = []
+        for k in range(1, 6):
+            for word in itertools.product("ab", repeat=k):
+                ker = kernel(tuple(families[s] for s in word))
+                nested = cache(lambda sigma, word=word: block_product(mf, sigma, word))
+                for pi in enumerate_nc(k):
+                    if not leq(pi, ker):
+                        value = mobius_inversion(pi, nested, mobius_pairs)
+                        if abs(value) > 0:
+                            expected.append((pi, word, value))
+        assert freeness_check(mf, families).violations == tuple(expected)
 
 
 class TestMatrixLayer:

@@ -222,6 +222,14 @@ class TestInvariance:
         assert report.max_deviation == Fraction(1, 10)
         assert report.tolerance == 0 and not report.passed
 
+    def test_negative_tolerance_rejected(self):
+        # exact or numeric, a tolerance below 0 is refused before any word is read
+        mf = free_iid_functional(semicircular(2), 4, 2)
+        numeric = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(0.3))
+        for unitary in (permutation_magic_unitary((2, 1, 3, 4)), numeric):
+            with pytest.raises(DomainError, match="tolerance"):
+                invariance_check(mf, unitary, 2, tolerance=-1)
+
     def test_degree_above_kmax_rejected(self):
         mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
         with pytest.raises(BoundError):
