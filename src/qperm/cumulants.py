@@ -32,7 +32,6 @@ from .partitions import (
     _nc_below,
     _peel,
     enumerate_nc,
-    is_noncrossing,
     kernel,
 )
 from .weingarten import rational_str
@@ -97,6 +96,10 @@ class MomentFunctional:
         return cls(alphabet=alphabet, k_max=int(data["k_max"]), moments=moments)
 
 
+#: The value of every unset cumulant word.
+_ZERO = Fraction(0)
+
+
 @dataclass
 class CumulantSpec:
     """Free cumulants by (block size, letter word); unset words are zero.
@@ -114,7 +117,7 @@ class CumulantSpec:
         word = tuple(word)
         if not 1 <= len(word) <= self.k_max:
             raise BoundError(f"block size {len(word)} outside 1..{self.k_max}")
-        return self.values.get(word, Fraction(0))
+        return self.values.get(word, _ZERO)
 
     def matrix_dim(self):
         for v in self.values.values():
@@ -260,16 +263,6 @@ def _spec_sum(spec, word, admissible):
 def cumulants_to_moments(spec, word):
     """Moment of a word from its free cumulants: sum over all of NC(k)."""
     return _spec_sum(spec, word, enumerate_nc(len(tuple(word))))
-
-
-def moment_nested(mf, pi, word):
-    """Nested moment function: intervals collapse through the functional."""
-    word = tuple(word)
-    if len(word) != pi.ground_size:
-        raise DimensionError(f"word length {len(word)} differs from ground size {pi.ground_size}")
-    if not is_noncrossing(pi):
-        raise DomainError(f"partition is not non-crossing: {pi}")
-    return _block_sum(mf.value, word, ((pi, 1),))
 
 
 def moments_to_cumulants(mf, pi, word):

@@ -346,10 +346,6 @@ class UrnModel:
     def __hash__(self):
         return self._hash
 
-    def marginal_moment(self, p):
-        denominator, sums = _power_sums(self, p)
-        return Fraction(sums[p], denominator**p * self.n)
-
 
 @lru_cache(maxsize=None)
 def _power_sums(model, m_max):
@@ -549,11 +545,6 @@ def free_iid_functional(spec, n, k_max, letter="c"):
     return _label_functional(
         n, k_max, lambda labels: free_iid_moment(spec, (letter,) * len(labels), labels)
     )
-
-
-def urn_functional(model, k_max):
-    """Joint moments of the noncommutative urn sequence, indexed by labels."""
-    return _label_functional(model.n, k_max, lambda labels: urn_moment_quantum(model, labels))
 
 
 def tensor_iid_functional(single_moments, n, k_max):

@@ -128,18 +128,6 @@ class NonCrossingCertificate:
     partition: SetPartition
     peel_order: tuple  # of (block, (lo, hi)) pairs
 
-    def replay(self):
-        """Re-run the peel and confirm it empties the partition."""
-        remaining = list(range(1, self.partition.ground_size + 1))
-        for block, (lo, hi) in self.peel_order:
-            if block[0] != lo or block[-1] != hi:
-                return False
-            inside = [x for x in remaining if lo <= x <= hi]
-            if tuple(inside) != tuple(block):
-                return False
-            remaining = [x for x in remaining if x not in set(block)]
-        return not remaining
-
 
 def _require_same_ground(p, q):
     if p.ground_size != q.ground_size:
@@ -338,7 +326,9 @@ def _debug(module, message, *args):
 
 @lru_cache(maxsize=None)
 def _nc_order_data(k):
-    """(partitions, index map, up-sets as bitmasks) for NC(k).
+    """(partitions, index map, up-sets, down-sets) for NC(k), the sets as
+    bitmasks of positions: bit j of up[i] and bit i of down[j] are set iff
+    nc[i] <= nc[j].
 
     p <= q implies |p| >= |q|, and the enumeration puts finer partitions
     first, so the up-set of nc[i] lies in positions i and above."""
@@ -346,15 +336,14 @@ def _nc_order_data(k):
     nc = _all_nc(k)
     pos = {p: i for i, p in enumerate(nc)}
     pairs = [p.pairs for p in nc]
-    up = []
+    up, down = [0] * len(nc), [0] * len(nc)
     for i, own in enumerate(pairs):
-        mask = 0
         for j in range(i, len(pairs)):
             if not own & ~pairs[j]:
-                mask |= 1 << j
-        up.append(mask)
+                up[i] |= 1 << j
+                down[j] |= 1 << i
     _debug(__name__, "NC order k=%d N=%d seconds=%.4f", k, len(nc), time.perf_counter() - start)
-    return nc, pos, tuple(up)
+    return nc, pos, tuple(up), tuple(down)
 
 
 @lru_cache(maxsize=None)
@@ -370,8 +359,7 @@ def _mobius_row(k, a):
     """mu_k(nc[a], nc[b]) for all b, computed by the defining recursion
     sum_{p <= t <= q} mu(p, t) = [p == q], walking the up-set of nc[a]
     from finer to coarser (the enumeration order)."""
-    nc, _, up = _nc_order_data(k)
-    down = _down_masks(k)
+    nc, _, up, down = _nc_order_data(k)
     start = time.perf_counter()
     row = [0] * len(nc)
     row[a] = 1
@@ -391,25 +379,11 @@ def _mobius_row(k, a):
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
-def _down_masks(k):
-    nc, _, up = _nc_order_data(k)
-    down = [0] * len(nc)
-    for a in range(len(nc)):
-        mask = up[a]
-        bit = mask
-        while bit:
-            b = (bit & -bit).bit_length() - 1
-            down[b] |= 1 << a
-            bit &= bit - 1
-    return tuple(down)
-
-
 def up_down_interval(k, a, b):
     """Bitmask of NC(k) indices t with nc[a] <= t <= nc[b]."""
     _check_k(k)
-    _, _, up = _nc_order_data(k)
-    return up[a] & _down_masks(k)[b]
+    _, _, up, down = _nc_order_data(k)
+    return up[a] & down[b]
 
 
 def _nc_index(k, p):
@@ -427,7 +401,7 @@ def _mobius_below(pi):
     order; a pi that crosses raises DomainError."""
     k = pi.ground_size
     b = _nc_index(k, pi)
-    bits = _down_masks(k)[b]
+    bits = _nc_order_data(k)[3][b]
     while bits:
         a = (bits & -bits).bit_length() - 1
         yield a, _mobius_row(k, a)[b]

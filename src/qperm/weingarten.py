@@ -1,15 +1,16 @@
 """Exact Gram and Weingarten matrices for the quantum permutation group,
 the Haar-state integration formula, and the asymptotic residual sweeps.
 
-Everything in this module is exact.  The Gram matrix G_kn is built once per
-(k, n), and so is its inverse, as one integer pair W_kn = A / D with D > 0 and
-gcd(D, every entry of A) = 1.  The pair comes from p-adic lifting (Dixon,
-Numer. Math. 40, 1982): G^{-1} mod a word prime p, lifted to G^{-1} mod p^m in
-float64 matrix products that are exact, then rational reconstruction of one
-common denominator.  Its cost follows the size of A and D, about 30 bits at
-k = 6, and not that of det G_kn, about 1,600 bits there.  Haar sums and d_k(n)
-add the integers of A and divide by D once; the `Fraction` table W_kn is made
-only for callers that need the rationals.
+Everything in this module is exact.  The one table memoized per (k, n) is
+the inverse of the Gram matrix G_kn, as one integer pair W_kn = A / D with
+D > 0 and gcd(D, every entry of A) = 1.  The pair comes from p-adic lifting
+(Dixon, Numer. Math. 40, 1982): G^{-1} mod a word prime p, lifted to
+G^{-1} mod p^m in float64 matrix products that are exact, then rational
+reconstruction of one common denominator.  Its cost follows the size of A
+and D, about 30 bits at k = 6, and not that of det G_kn, about 1,600 bits
+there.  Haar sums and d_k(n) add the integers of A and divide by D once.
+The Gram table and the `Fraction` table W_kn are views, built on each call
+for the callers that need them.
 
 A pair is returned only once G_kn A = D I holds in exact integers for the
 G_kn it was lifted from.  `check_inverse` certifies the same identity with
@@ -34,6 +35,7 @@ from .errors import BoundError, InvariantViolation, SingularGramError
 from .partitions import (
     K_MAX,
     SetPartition,
+    _all_nc,
     _block_masks,
     _check_k,
     _debug,
@@ -104,13 +106,13 @@ def _join_exponents(k):
     return tuple(map(tuple, table))
 
 
-@lru_cache(maxsize=None)
 def gram(k, n):
-    """Exact Gram matrix of the NC(k) partition vectors at size n."""
+    """Exact Gram matrix of the NC(k) partition vectors at size n, built on
+    each call from the join exponents, which are memoized per k."""
     _check_kn(k, n)
     power = [n**e for e in range(k + 1)]
     rows = tuple(tuple(power[e] for e in row) for row in _join_exponents(k))
-    return NCTable(k=k, n=n, index=tuple(enumerate_nc(k)), entries=rows)
+    return NCTable(k=k, n=n, index=_all_nc(k), entries=rows)
 
 
 #: Word primes for the p-adic inverse, tried in turn until one does not divide
@@ -330,13 +332,13 @@ def _weingarten_pair(k, n):
     return _padic_inverse(gram(k, n).entries, k, n)
 
 
-@lru_cache(maxsize=None)
 def weingarten(k, n):
     """W_kn = G_kn^{-1} = A / D, exact; raises SingularGramError when G_kn
-    is not invertible (possible for small n)."""
+    is not invertible (possible for small n).  The `Fraction` table is built
+    on each call from the pair, which is memoized per (k, n)."""
     nums, den = _weingarten_pair(k, n)
     entries = tuple(tuple(Fraction(x, den) for x in row) for row in nums)
-    return NCTable(k=k, n=n, index=gram(k, n).index, entries=entries)
+    return NCTable(k=k, n=n, index=_all_nc(k), entries=entries)
 
 
 def check_inverse(k, n):
@@ -348,9 +350,11 @@ def check_inverse(k, n):
     tau >= p v q iff tau >= p and tau >= q.  So G = B^T Delta B over P(k),
     with B[tau][p] = [p <= tau] and Delta = diag((n)_{|tau|}), and row p of
     G A is the sum over tau >= p of s_tau = (n)_{|tau|} * sum_{q <= tau} A[q].
-    Rows tau with |tau| > n have (n)_{|tau|} = 0 and are skipped."""
-    start = time.perf_counter()
+    Rows tau with |tau| > n have (n)_{|tau|} = 0 and are skipped.  The
+    clock of its debug record starts once the pair is read, so the record
+    excludes an inverse that the call builds."""
     nums, den = _weingarten_pair(k, n)
+    start = time.perf_counter()
     size = len(nums)
     product = [[0] * size for _ in range(size)]
     used = 0
@@ -489,7 +493,7 @@ def _dk(k, n):
     unless p <= q."""
     nums, den = _weingarten_pair(k, n)
     total = 0
-    for a, (p, row) in enumerate(zip(gram(k, n).index, nums)):
+    for a, (p, row) in enumerate(zip(_all_nc(k), nums)):
         scale = n ** p.block_count()
         total += sum(abs(x * scale - m * den) for x, m in zip(row, _mobius_row(k, a)))
     return Fraction(n * total, den)

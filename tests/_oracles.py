@@ -281,6 +281,21 @@ def leq_by_block_lookup(p, q):
     return all(len({where[x] for x in b}) == 1 for b in p.blocks)
 
 
+def replay_peel(certificate):
+    """True iff the certificate's peel order empties its partition: each
+    block, removed in turn, spans exactly the positions still left between
+    its recorded ends.  A list-based re-run, apart from the bitmask peel."""
+    remaining = list(range(1, certificate.partition.ground_size + 1))
+    for block, (lo, hi) in certificate.peel_order:
+        if block[0] != lo or block[-1] != hi:
+            return False
+        inside = [x for x in remaining if lo <= x <= hi]
+        if tuple(inside) != tuple(block):
+            return False
+        remaining = [x for x in remaining if x not in set(block)]
+    return not remaining
+
+
 def partitions_by_all_function_kernels(k):
     """P(k) from the definition: the kernels of all k^k maps {1..k} -> {1..k},
     each as its sorted tuple of blocks."""

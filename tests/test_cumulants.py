@@ -11,11 +11,11 @@ from qperm.cumulants import (
     CumulantSpec,
     MatrixProbabilitySpace,
     MomentFunctional,
+    _block_sum,
     _leg_evaluator,
     cumulants_to_moments,
     free_iid_moment,
     freeness_check,
-    moment_nested,
     moments_to_cumulants,
     nested_eval,
 )
@@ -371,27 +371,23 @@ class TestScalarBlockProducts:
             )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-    def test_moment_nested_is_the_block_product(self, k):
+    def test_block_sum_of_one_partition_is_the_block_product(self, k):
         rng = random.Random(500 + k)
         moments = self.values_with_zeros(rng, k)
         mf = MomentFunctional(("a", "b"), k, moments)
         word = tuple(rng.choice("ab") for _ in range(k))
         for blocks in partitions_by_function_kernels(k):
-            pi = SetPartition(blocks)
-            if crosses_by_definition(blocks):
-                with pytest.raises(DomainError):
-                    moment_nested(mf, pi, word)
-            else:
+            if not crosses_by_definition(blocks):
                 expected = nc_block_sum(moments, word, [blocks], crosses_by_definition)
-                assert moment_nested(mf, pi, word) == expected
+                assert _block_sum(mf.value, word, [(SetPartition(blocks), 1)]) == expected
 
     def test_missing_word_raises_after_a_zero_block(self):
         # ("b",) is undefined; the block before it has moment 0
         mf = MomentFunctional(("a", "b"), 3, {("a",): Fraction(0), ("a", "a"): Fraction(0)})
         with pytest.raises(DomainError):
-            moment_nested(mf, P("1|2"), ("a", "b"))
+            moments_to_cumulants(mf, P("1|2"), ("a", "b"))
         with pytest.raises(DomainError):
-            moment_nested(mf, P("1,3|2"), ("a", "b", "a"))
+            moments_to_cumulants(mf, P("1,3|2"), ("a", "b", "a"))
         with pytest.raises(DomainError):
             moments_to_cumulants(mf, SetPartition.full(2), ("a", "b"))
         with pytest.raises(DomainError):
@@ -461,7 +457,7 @@ class TestIntegerRoute:
             word = tuple(rng.choice("ab") for _ in range(k))
             nc = enumerate_nc(k)
             for pi in rng.sample(nc, min(5, len(nc))) + [SetPartition.full(k)]:
-                assert moment_nested(mf, pi, word) == block_product(mf, pi, word)
+                assert _block_sum(mf.value, word, [(pi, 1)]) == block_product(mf, pi, word)
                 expected = mobius_inversion(
                     pi, lambda sigma: block_product(mf, sigma, word), mobius_pairs
                 )

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from qperm import cumulants
-from qperm.cumulants import CumulantSpec, free_iid_moment, moment_nested
+from qperm.cumulants import CumulantSpec, free_iid_moment
 from qperm.errors import BoundError, DimensionError, DomainError, SingularGramError
 from qperm.exchange import (
     MagicUnitary,
     _coaction_sum,
     _free_vector,
     _injection_weight,
+    _label_functional,
     _subset_sum,
     _urn_vector,
     UrnModel,
@@ -33,7 +34,6 @@ from qperm.exchange import (
     rotated_projection,
     tensor_iid_functional,
     two_projection_magic_unitary,
-    urn_functional,
     urn_moment_classical,
     urn_moment_quantum,
 )
@@ -50,6 +50,7 @@ from qperm.partitions import (
 from qperm.weingarten import dk_value, haar_moment
 
 from _oracles import (
+    block_product,
     block_sum_by_labelling,
     cesaro_by_double_sum,
     classical_urn_by_permutations,
@@ -67,6 +68,16 @@ THETA = math.pi / 5
 
 def semicircular(k_max=8):
     return CumulantSpec(("c",), k_max, {("c", "c"): Fraction(1)})
+
+
+def urn_functional(model, k_max):
+    """Joint moments of the urn sequence, indexed by labels."""
+    return _label_functional(model.n, k_max, lambda labels: urn_moment_quantum(model, labels))
+
+
+def marginal_moment(model, p):
+    """The p-th moment of one urn variable: sum_i lambda_i^p / n."""
+    return sum(x**p for x in model.lam) / model.n
 
 
 class TestMagicUnitary:
@@ -539,7 +550,7 @@ class TestExpformConsistency:
         mf = MomentFunctional(
             ("x",),
             k_max,
-            {("x",) * p: model.marginal_moment(p) for p in range(1, k_max + 1)},
+            {("x",) * p: marginal_moment(model, p) for p in range(1, k_max + 1)},
         )
         for k in range(1, k_max + 1):
             for pi in enumerate_nc(k):
@@ -551,7 +562,7 @@ class TestExpformConsistency:
                             term *= lam[t - 1]
                         direct += term
                 direct /= Fraction(n) ** pi.block_count()
-                nested = moment_nested(mf, pi, ("x",) * k)
+                nested = block_product(mf, pi, ("x",) * k)
                 assert direct == nested
 
 
@@ -574,7 +585,7 @@ class TestDeFinettiGap:
         for n, lam in [(4, [1, 1, 0, 0]), (6, [1, Fraction(1, 2), 0, 0, 0, 0])]:
             model = UrnModel(n, lam)
             report = definetti_gap(model, (1, 2))
-            var = model.marginal_moment(2) - model.marginal_moment(1) ** 2
+            var = marginal_moment(model, 2) - marginal_moment(model, 1) ** 2
             assert report.gap == var / (n - 1)
             assert report.gap <= report.bound
             assert definetti_gap(model, (1, 1)).gap == 0

@@ -36,6 +36,7 @@ from _oracles import (
     leq_by_block_lookup,
     meet_by_sets,
     partitions_by_all_function_kernels,
+    replay_peel,
 )
 
 P = SetPartition.from_text
@@ -160,11 +161,11 @@ class TestNonCrossing:
             cert = noncrossing_certificate(p)
             assert (cert is not None) == (not crosses_by_definition(p.blocks))
             if cert is not None:
-                assert cert.replay()
+                assert replay_peel(cert)
 
     def test_certificate_replay(self):
         cert = noncrossing_certificate(P("1,8,9,10|2,7|3,4,5|6"))
-        assert cert.replay()
+        assert replay_peel(cert)
         assert len(cert.peel_order) == 4
 
 
@@ -291,12 +292,25 @@ class TestOrderMasks:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_nc_order_up_masks_match_block_lookup_oracle(self, k):
-        nc, pos, up = _nc_order_data(k)
+        nc, pos, up, _ = _nc_order_data(k)
         assert list(nc) == enumerate_nc(k)
         assert all(pos[p] == a for a, p in enumerate(nc))
         for a, p in enumerate(nc):
             expected = sum(1 << b for b, q in enumerate(nc) if leq_by_block_lookup(p, q))
             assert up[a] == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_nc_order_down_masks_are_the_transposed_up_masks(self, k):
+        nc, _, up, down = _nc_order_data(k)
+        for a in range(len(nc)):
+            for b in range(len(nc)):
+                assert (down[b] >> a & 1) == (up[a] >> b & 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_nc_order_down_masks_match_nc_below(self, k):
+        nc, _, _, down = _nc_order_data(k)
+        for b, p in enumerate(nc):
+            assert down[b] == sum(1 << a for a in _nc_below(p))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_nc_below_matches_block_lookup_oracle(self, k):

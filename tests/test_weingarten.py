@@ -294,6 +294,20 @@ class TestWeingarten:
         # P(4) has 15 partitions; (3)_4 = 0 drops 1|2|3|4
         assert records[0].getMessage().startswith("certificate k=4 n=3 N=14 rows=14 seconds=")
 
+    def test_certificate_record_excludes_the_inverse_it_builds(self, caplog, monkeypatch):
+        # a fresh memo: the pair is cold, so check_inverse builds it
+        cold = functools.lru_cache(maxsize=None)(_weingarten_pair.__wrapped__)
+        monkeypatch.setattr(MODULE, "_weingarten_pair", cold)
+        with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
+            assert check_inverse(5, 6)
+        # a record is made when its build ends, `seconds` (its last argument) after it began
+        spans = {
+            r.msg.partition(" k=")[0]: (r.created - r.args[-1], r.created)
+            for r in caplog.records
+            if r.name == "qperm.weingarten"
+        }
+        assert spans["inverse"][1] <= spans["certificate"][0]
+
     def test_json_dict_round_trips(self):
         t = weingarten(2, 4)
         d = t.to_json_dict()
@@ -377,7 +391,6 @@ class TestCertificateMutations:
     def module(self, monkeypatch):
         yield MODULE
         monkeypatch.undo()
-        gram.cache_clear()
         _weingarten_pair.cache_clear()
 
     def test_reads_neither_the_join_table_nor_gram(self, module, monkeypatch):
@@ -399,7 +412,6 @@ class TestCertificateMutations:
         bad = tuple(map(tuple, table))
         monkeypatch.setattr(module, "_join_exponents", lambda k: bad if k == 4 else good)
         for n in (4, 5, 7):
-            gram.cache_clear()
             _weingarten_pair.cache_clear()
             assert not check_inverse(4, n)
 
