@@ -18,6 +18,21 @@ from .errors import BoundError, DimensionError, DomainError
 K_MAX = 8
 
 
+def _pair_bits(blocks, k):
+    """The same-block relation of `blocks` as a k x k bit matrix, bit
+    (x - 1) * k + (y - 1) for x and y in one block."""
+    pairs = 0
+    for b in blocks:
+        # row: the block as a k-bit mask; row * spread puts a copy of it
+        # at row x - 1 of the bit matrix for each x in the block
+        row = spread = 0
+        for x in b:
+            row |= 1 << (x - 1)
+            spread |= 1 << ((x - 1) * k)
+        pairs |= row * spread
+    return pairs
+
+
 class SetPartition:
     """A partition of {1..k} into disjoint non-empty blocks.
 
@@ -47,16 +62,19 @@ class SetPartition:
         cleaned.sort(key=lambda b: b[0])
         self.ground_size = k
         self.blocks = tuple(cleaned)
-        pairs = 0
-        for b in cleaned:
-            # row: the block as a k-bit mask; row * spread puts a copy of it
-            # at row x - 1 of the bit matrix for each x in the block
-            row = spread = 0
-            for x in b:
-                row |= 1 << (x - 1)
-                spread |= 1 << ((x - 1) * k)
-            pairs |= row * spread
-        self.pairs = pairs
+        self.pairs = _pair_bits(self.blocks, k)
+
+    @classmethod
+    def _canonical(cls, blocks, k):
+        """A partition from blocks that are already canonical: tuples in
+        ascending order, ordered by their minimum, disjoint and covering
+        1..k.  Nothing is checked; input from outside goes through the
+        constructor."""
+        self = cls.__new__(cls)
+        self.ground_size = k
+        self.blocks = blocks
+        self.pairs = _pair_bits(blocks, k)
+        return self
 
     @classmethod
     def singletons(cls, k):
@@ -310,7 +328,8 @@ def kernel(indices):
     groups = {}
     for pos, sym in enumerate(items, start=1):
         groups.setdefault(sym, []).append(pos)
-    return SetPartition(groups.values(), ground_size=len(items))
+    # positions ascend within a group, and groups open in order of their minimum
+    return SetPartition._canonical(tuple(map(tuple, groups.values())), len(items))
 
 
 def _debug(module, message, *args):

@@ -4,21 +4,27 @@ the Haar-state integration formula, and the asymptotic residual sweeps.
 Everything in this module is exact.  The one table memoized per (k, n) is
 the inverse of the Gram matrix G_kn, as one integer pair W_kn = A / D with
 D > 0 and gcd(D, every entry of A) = 1.  The pair comes from p-adic lifting
-(Dixon, Numer. Math. 40, 1982): G^{-1} mod a word prime p, lifted to
-G^{-1} mod p^m in float64 matrix products that are exact, then rational
-reconstruction of one common denominator.  Its cost follows the size of A
-and D, about 30 bits at k = 6, and not that of det G_kn, about 1,600 bits
-there.  Haar sums and d_k(n) add the integers of A and divide by D once.
-The Gram table and the `Fraction` table W_kn are views, built on each call
-for the callers that need them.
+(Dixon, Numer. Math. 40, 1982), in numpy: G_kn is gathered from the join
+exponents, memoized per k, and G^{-1} mod a word prime p is lifted to
+G^{-1} mod p^m in float64 matrix products that are exact.  D is the common
+denominator that rational reconstruction finds for row 0 and the diagonal
+of G^{-1} mod p^m.  Then D I is lifted with symmetric digits until the
+residue R is exactly 0: D I = G A + p^m R holds exactly after every lift,
+each lift checking that p divides R - G X, so R = 0 is G A = D I itself.
+Only when R stays nonzero is the whole triangle reconstructed.  The cost
+follows the size of A and D, about 30 bits at k = 6, and not that of
+det G_kn, about 1,600 bits there.  Haar sums and d_k(n) add the integers of
+A and divide by D once.  The Gram table and the `Fraction` table W_kn are
+views, built on each call for the callers that need them.
 
-A pair is returned only once G_kn A = D I holds in exact integers for the
-G_kn it was lifted from.  `check_inverse` certifies the same identity with
-G_kn applied through its factorisation B^T diag((n)_{|tau|}) B over P(k),
-B[tau][p] = [p <= tau]: it reads neither the join exponents nor the Gram
-table, so it also certifies the table that G_kn was built from.  Tables are
-indexed by NC(k) in the canonical enumeration order and are immutable once
-built.
+`check_inverse` certifies G_kn A = D I on its own, with G_kn rebuilt as
+B^T diag((n)_{|tau|}) B over P(k), B[tau][p] = [p <= tau]: it reads neither
+the join exponents nor the Gram table, so it also certifies the table that
+G_kn was gathered from.  The product is evaluated modulo word primes
+p < 2^21 in float64; once the product of the primes exceeds
+2 (N n^k max|A| + D), a bound on every entry of G A - D I, zero residues
+prove the identity by the Chinese remainder theorem.  Tables are indexed by
+NC(k) in the canonical enumeration order and are immutable once built.
 """
 
 import itertools
@@ -27,7 +33,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
@@ -90,8 +95,8 @@ def rational_str(q):
 
 @lru_cache(maxsize=None)
 def _join_exponents(k):
-    """|p v q| for every pair of NC(k) in canonical order; n enters G_kn only
-    as the base raised to these exponents.
+    """|p v q| for every pair of NC(k) in canonical order, as a read-only
+    integer array; n enters G_kn only as the base raised to these exponents.
 
     Blocks are k-bit masks, merged by the join of `partitions`.  The table
     is symmetric, so only its upper half is merged."""
@@ -102,8 +107,10 @@ def _join_exponents(k):
     for a, own in enumerate(masks):
         for b in range(a, size):
             table[a][b] = table[b][a] = len(_join_masks(own, masks[b]))
+    table = np.array(table, dtype=np.intp)
+    table.flags.writeable = False
     _debug(__name__, "join exponents k=%d N=%d seconds=%.4f", k, size, time.perf_counter() - start)
-    return tuple(map(tuple, table))
+    return table
 
 
 def gram(k, n):
@@ -111,7 +118,7 @@ def gram(k, n):
     each call from the join exponents, which are memoized per k."""
     _check_kn(k, n)
     power = [n**e for e in range(k + 1)]
-    rows = tuple(tuple(power[e] for e in row) for row in _join_exponents(k))
+    rows = tuple(tuple(power[e] for e in row) for row in _join_exponents(k).tolist())
     return NCTable(k=k, n=n, index=_all_nc(k), entries=rows)
 
 
@@ -124,6 +131,17 @@ _PRIMES = (2097143, 2097133, 2097131, 2097097)
 #: Blocks of at most this many rows are inverted mod p by Gauss-Jordan on
 #: Python integers; larger ones are split in two (see `_inverse_mod`).
 _BLOCK = 8
+
+
+def _mod(x, p):
+    """x mod p in [0, p) as float64, for an integer array of float64 below
+    2^53, int64 or Python ints.  Fixed-width integers are reduced as
+    x - (x // p) p: numpy divides int64 by a scalar several times faster
+    than it takes a float64 remainder."""
+    if x.dtype == object:
+        return (x % p).astype(np.float64)
+    x = x.astype(np.int64, copy=False)
+    return (x - x // p * p).astype(np.float64)
 
 
 def _gauss_jordan_mod(rows, p):
@@ -164,14 +182,14 @@ def _inverse_mod(g, p):
     a_inv = _inverse_mod(g[:h, :h], p)
     if a_inv is None:
         return None
-    e = a_inv @ g[:h, h:] % p
-    s_inv = _inverse_mod((g[h:, h:] - g[h:, :h] @ e) % p, p)
+    e = _mod(a_inv @ g[:h, h:], p)
+    s_inv = _inverse_mod(_mod(g[h:, h:] - g[h:, :h] @ e, p), p)
     if s_inv is None:
         return None
-    f = e @ s_inv % p
+    f = _mod(e @ s_inv, p)
     out = np.empty_like(g)
-    out[:h, :h] = (a_inv + f @ e.T) % p
-    out[:h, h:] = -f % p
+    out[:h, :h] = _mod(a_inv + f @ e.T, p)
+    out[:h, h:] = _mod(-f, p)
     out[h:, :h] = out[:h, h:].T
     out[h:, h:] = s_inv
     return out
@@ -192,10 +210,11 @@ def _denominator(y, modulus, bound, den_bound):
 
 
 def _reconstruct(approx, modulus):
-    """(numerators, D) with numerators = D * approx mod modulus, all of them and
-    D at most sqrt(modulus / 2) in absolute value, or None.  D starts as the
-    denominator of the first entry and takes in that of the first entry still
-    too large, until none is; within those bounds such a pair is unique."""
+    """The common denominator D of approx mod modulus: D and every numerator
+    D * approx mod modulus at most sqrt(modulus / 2) in absolute value, or
+    None.  D starts as the denominator of the first entry and takes in that
+    of the first entry still too large, until none is; within those bounds
+    such a D and its numerators are unique."""
     bound = math.isqrt(modulus // 2)
     half = modulus // 2
     den = _denominator(approx[0], modulus, bound, bound)
@@ -203,98 +222,141 @@ def _reconstruct(approx, modulus):
         nums = [y - modulus if y > half else y for y in (den * x % modulus for x in approx)]
         wide = next((y for y in nums if abs(y) > bound), None)
         if wide is None:
-            return nums, den
+            return den
         d = _denominator(wide, modulus, bound, bound // den)
         den = None if d is None else den * d
     return None
 
 
 def _gram_times(limbs, x, dtype):
-    """G x in exact integers of `dtype`, float64 or Python ints, for a float64
+    """G x in exact integers of `dtype`, int64 or Python ints, for a float64
     integer matrix |x| < 2^21.  Each limb of G gives one float64 product below
-    2^53; float64 is only asked for where G is one limb and |G x| < 2^53."""
-    if dtype is object:
+    2^53; int64 is only asked for where G is one limb."""
+    if dtype == object:
         return sum((limb @ x).astype(np.int64).astype(object) << shift for shift, limb in limbs)
     ((_, g),) = limbs
-    return g @ x
+    return (g @ x).astype(np.int64)
 
 
-def _solves(limbs, dtype, row_bound, nums, den):
-    """True iff G nums = den I in exact integers, where every row of G sums to
-    at most row_bound.  nums is split into base 2^21 digits, the top one
-    signed, and G applied to each digit; the products add up in float64 where
-    |G nums| < 2^53 and G is one limb, and in Python integers otherwise."""
-    width = int(np.abs(nums).max()).bit_length()
-    if row_bound << width >= 1 << 53:
-        dtype = object
-    product = 0
-    for t in range(width // 21 + 1):
-        digit = nums >> 21 * t
-        if t < width // 21:
-            digit &= (1 << 21) - 1
-        product = product + _gram_times(limbs, digit.astype(np.float64), dtype) * (1 << 21 * t)
-    return np.array_equal(product, np.diag([den] * len(nums)))
+def _lift(inverse, limbs, residue, p):
+    """One p-adic lift: the symmetric digit X = C (R mod p) mod p, in
+    (-p/2, p/2], of C = G^{-1} mod p, and the exact residue (R - G X) / p,
+    in the dtype of R.  Raises InvariantViolation unless p divides R - G X,
+    so that R_0 = G (X_0 + p X_1 + ... + p^{m-1} X_{m-1}) + p^m R_m holds
+    exactly after every lift."""
+    digit = _mod(inverse @ _mod(residue, p), p)
+    digit[digit > p // 2] -= p
+    step = residue - _gram_times(limbs, digit, residue.dtype)
+    quotient = step // p
+    if (quotient * p != step).any():
+        raise InvariantViolation(f"p={p} does not divide R - G X: the lift is not exact")
+    return digit, quotient
 
 
-def _padic_inverse(rows, k, n):
-    """(A, D) with G_kn^{-1} = A / D, D > 0 and gcd(D, every entry of A) = 1.
+def _digits_value(digits, p):
+    """sum_j p^j digits[j] for symmetric digits, as lists of Python ints;
+    in int64 up to three digits, where |sum| < p^3 < 2^63."""
+    wide = len(digits) > 3
+    value = 0
+    for digit in reversed(digits):
+        digit = digit.astype(np.int64)
+        value = value * p + (digit.astype(object) if wide else digit)
+    return value.tolist()
 
-    With C = G^{-1} mod p, each lift takes the next p-adic digit
-    X = C (R mod p) mod p of G^{-1} and the exact residue R <- (R - G X) / p,
-    from R = I; after m lifts the digits give G^{-1} mod p^m.  |R| stays
-    below N max G, so |R - G X| < N max G p: while that is below 2^53 the
-    lift runs in float64, and beyond it in Python integers, with G X summed
-    from limbs of G narrow enough for exact float64 products.  Each lift
-    checks that p divides R - G X.  After each lift the upper triangle (W
-    is symmetric) is reconstructed, and the pair is returned once G A = D I
-    holds exactly.  Past the Hadamard bound the reconstruction is adj / det
-    itself, so the loop ends there at the latest."""
-    start = time.perf_counter()
-    size = len(rows)
-    top = max(map(max, rows))
-    if size * top << 21 < 1 << 53:
-        dtype, limbs = np.float64, [(0, np.array(rows, dtype=np.float64))]
+
+def _lift_to_zero(inverse, limbs, row_bound, den, p, max_lifts):
+    """(A, lifts) with G A = den I exactly, or None if the residue is not 0
+    after max_lifts lifts.
+
+    den I is lifted from R = den I until R = 0; as den I = G A + p^m R holds
+    exactly after every lift, R = 0 is the identity itself, and it is
+    reached exactly when den G^{-1} is an integer matrix: the symmetric
+    digits of A run out after about log_p(2 max|A|) lifts.  |R| stays below
+    max(den, row_bound), with row_bound the largest row sum of G, so
+    |R - G X| < (den + row_bound) 2^21: the residue is int64 while that is
+    below 2^63 and G is one limb, and Python integers otherwise."""
+    size = len(inverse)
+    if len(limbs) == 1 and (den + row_bound) << 21 < 1 << 63:
+        residue = np.eye(size, dtype=np.int64) * den
     else:
-        dtype, big = object, np.array(rows, dtype=object)
+        residue = np.eye(size, dtype=object) * den
+    digits = []
+    for lifts in range(1, max_lifts + 1):
+        digit, residue = _lift(inverse, limbs, residue, p)
+        digits.append(digit)
+        if not residue.any():
+            return _digits_value(digits, p), lifts
+    return None
+
+
+def _padic_inverse(exponents, k, n):
+    """(A, D) with G_kn^{-1} = A / D, D > 0 and gcd(D, every entry of A) = 1,
+    for G_kn(a, b) = n^{exponents[a][b]}, gathered with numpy.
+
+    With C = G^{-1} mod p, each lift takes the next symmetric p-adic digit
+    of G^{-1} (`_lift`), from R = I.  After each lift a sample of G^{-1}
+    mod p^m, row 0 and the diagonal, is reconstructed, and its common
+    denominator D is lifted from D I until the residue is exactly 0
+    (`_lift_to_zero`), which proves G A = D I.  If the residue is still
+    nonzero one lift after as many as the sample took, D is wrong or A is
+    far wider than the sample, and the sample is widened to the whole upper
+    triangle (W is symmetric).  Past the Hadamard bound the reconstruction
+    of the triangle is adj / det itself, so the loop ends there at the
+    latest.  Once N max G 2^21 passes 2^53, G is split into limbs narrow
+    enough for exact float64 products, and the residues are Python
+    integers."""
+    start = time.perf_counter()
+    exponents = np.asarray(exponents)
+    size = len(exponents)
+    power = [n**e for e in range(int(exponents.max()) + 1)]
+    top = power[-1]
+    if size * top << 21 < 1 << 53:
+        limbs = [(0, np.array(power, dtype=np.float64)[exponents])]
+    else:
         width = 32 - size.bit_length()  # size * 2^width * 2^21 < 2^53
+        mask = (1 << width) - 1
         limbs = [
-            (shift, ((big >> shift) & ((1 << width) - 1)).astype(np.float64))
+            (shift, np.array([x >> shift & mask for x in power], dtype=np.float64)[exponents])
             for shift in range(0, top.bit_length(), width)
         ]
-    upper = np.nonzero(np.tri(size, dtype=bool).T)  # row by row, as np.triu_indices
+    diagonal = np.arange(1, size)
+    sample = (
+        np.concatenate([np.zeros(size, dtype=np.intp), diagonal]),
+        np.concatenate([np.arange(size), diagonal]),
+    )
     # p^m > 2^{20 m} > 2 H^2, H >= |det G|, |adj G| the Hadamard bound
     max_lifts = (size * (size * top * top).bit_length()) // 20 + 1
     for p in _PRIMES:
-        residues = np.array([[x % p for x in row] for row in rows], dtype=np.float64)
-        inverse = _inverse_mod(residues, p)
+        inverse = _inverse_mod(np.array([x % p for x in power], dtype=np.float64)[exponents], p)
         if inverse is None:
             continue
-        residue = np.eye(size, dtype=dtype)
-        approx, modulus = [0] * len(upper[0]), 1
+        residue = np.eye(size, dtype=np.int64 if len(limbs) == 1 else object)
+        digits, where, widened = [], sample, False
+        approx, modulus = [0] * len(where[0]), 1
         for lifts in range(1, max_lifts + 1):
-            digit = inverse @ (residue % p).astype(np.float64, copy=False) % p
-            approx = [
-                a + modulus * x for a, x in zip(approx, digit[upper].astype(np.int64).tolist())
-            ]
+            digit, residue = _lift(inverse, limbs, residue, p)
+            digits.append(digit)
+            approx = [a + modulus * x for a, x in zip(approx, digit[where].astype(np.int64).tolist())]
             modulus *= p
-            step = residue - _gram_times(limbs, digit, dtype)
-            if (step % p).any():
-                raise InvariantViolation(f"k={k}, n={n}: lift {lifts} is not divisible by p={p}")
-            residue = step // p
-            found = _reconstruct(approx, modulus)
-            if found is None:
+            den = _reconstruct(approx, modulus)
+            if den is None:
                 continue
-            nums, den = found
-            common = math.gcd(den, *nums)
-            full = np.empty((size, size), dtype=object)
-            full[upper] = full[upper[::-1]] = [x // common for x in nums]
-            den //= common
-            if _solves(limbs, dtype, size * top, full, den):
-                _debug(
-                    __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
-                    k, n, size, p, lifts, den.bit_length(), time.perf_counter() - start,
-                )
-                return tuple(map(tuple, full.tolist())), den
+            solved = _lift_to_zero(inverse, limbs, size * top, den, p, lifts + 1)
+            if solved is None:
+                if not widened:
+                    where, widened = np.triu_indices(size), True
+                    approx = _digits_value([d[where] for d in digits], p)
+                continue
+            nums, more = solved
+            common = math.gcd(den, *itertools.chain.from_iterable(nums))
+            if common > 1:
+                nums = [[x // common for x in row] for row in nums]
+                den //= common
+            _debug(
+                __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
+                k, n, size, p, lifts + more, den.bit_length(), time.perf_counter() - start,
+            )
+            return tuple(map(tuple, nums)), den
         raise InvariantViolation(
             f"k={k}, n={n}: no exact inverse after {max_lifts} lifts, past the Hadamard bound"
         )
@@ -329,7 +391,7 @@ def _weingarten_pair(k, n):
             f"k={k}: Weingarten tables are built for k <= {W_K_MAX} only "
             f"(the k={k} table and its certificate are not measured)"
         )
-    return _padic_inverse(gram(k, n).entries, k, n)
+    return _padic_inverse(_join_exponents(k), k, n)
 
 
 def weingarten(k, n):
@@ -341,6 +403,32 @@ def weingarten(k, n):
     return NCTable(k=k, n=n, index=_all_nc(k), entries=entries)
 
 
+@lru_cache(maxsize=None)
+def _incidence(k):
+    """(B, blocks) over P(k) in canonical order: B[tau][q] = [q <= tau] for q
+    in NC(k), as a read-only float64 0/1 matrix, and |tau| for each row."""
+    partitions = enumerate_partitions(k)
+    # q <= tau iff the same-block pairs of q are pairs of tau: k^2 <= 64 bits
+    below = np.array([q.pairs for q in _all_nc(k)], dtype=np.uint64)
+    above = np.array([tau.pairs for tau in partitions], dtype=np.uint64)
+    incidence = ((below & ~above[:, None]) == 0).astype(np.float64)
+    incidence.flags.writeable = False
+    return incidence, np.array([tau.block_count() for tau in partitions])
+
+
+@lru_cache(maxsize=None)
+def _word_primes(count):
+    """The `count` largest primes below 2^21, in descending order, found by
+    trial division on first use."""
+    primes = []
+    candidate = (1 << 21) - 1
+    while len(primes) < count:
+        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
+            primes.append(candidate)
+        candidate -= 2
+    return tuple(primes)
+
+
 def check_inverse(k, n):
     """Certify G_kn A = D I for the pair W_kn = A / D, every entry in exact
     integers, without reading G_kn or the join exponents it was built from.
@@ -348,31 +436,48 @@ def check_inverse(k, n):
     Counting the maps from the blocks of rho to {1..n} by their kernel gives
     n^{|rho|} = sum over tau >= rho in P(k) of (n)_{|tau|}, and
     tau >= p v q iff tau >= p and tau >= q.  So G = B^T Delta B over P(k),
-    with B[tau][p] = [p <= tau] and Delta = diag((n)_{|tau|}), and row p of
-    G A is the sum over tau >= p of s_tau = (n)_{|tau|} * sum_{q <= tau} A[q].
-    Rows tau with |tau| > n have (n)_{|tau|} = 0 and are skipped.  The
+    with B[tau][p] = [p <= tau] and Delta = diag((n)_{|tau|}); rows tau with
+    |tau| > n have (n)_{|tau|} = 0 and are skipped.  G A - D I is evaluated
+    modulo word primes p < 2^21 in float64, where every product is exact:
+    G mod p times A mod p sums N terms below p^2.  Every entry of G A - D I
+    is at most N n^k max|A| + |D| in absolute value, so once the product of
+    the primes exceeds twice that, zero residues prove the identity
+    (Chinese remainder theorem), and one nonzero residue refutes it.  The
     clock of its debug record starts once the pair is read, so the record
     excludes an inverse that the call builds."""
     nums, den = _weingarten_pair(k, n)
     start = time.perf_counter()
     size = len(nums)
-    product = [[0] * size for _ in range(size)]
-    used = 0
-    for tau in enumerate_partitions(k):
-        factor = math.perm(n, tau.block_count())
-        if not factor:
-            continue
-        used += 1
-        below = _nc_below(tau)
-        s = [factor * x for x in map(sum, zip(*[nums[q] for q in below]))]
-        for p in below:
-            product[p] = list(map(add, product[p], s))
-    ok = all(
-        row == [den if j == i else 0 for j in range(size)] for i, row in enumerate(product)
-    )
+    incidence, blocks = _incidence(k)
+    kept = blocks <= n
+    incidence, blocks = incidence[kept], blocks[kept]
+    try:
+        nums = np.array(nums, dtype=np.int64)
+        widest = max(int(nums.max()), -int(nums.min()))
+    except OverflowError:
+        nums = np.array(nums, dtype=object)
+        widest = max(map(abs, nums.flat))
+    bound = 2 * (size * n**k * widest + abs(den))
+    # every word prime exceeds 2^20
+    primes = _word_primes(-(-bound.bit_length() // 20))
+    if math.prod(primes) <= bound:
+        raise BoundError(f"k={k}, n={n}: the primes {primes} do not exceed the CRT bound {bound}")
+    falling = [math.perm(n, b) for b in range(k + 1)]
+    # the entries n^{|p v q|} <= n^k of B^T Delta B are sums of nonnegative
+    # terms: one exact float64 product below 2^53, one per prime beyond
+    exact = n**k < 1 << 53
+    g = None
+    for used, p in enumerate(primes, 1):
+        if g is None or not exact:
+            weights = np.array([f if exact else f % p for f in falling], dtype=np.float64)
+            g = incidence.T @ (incidence * weights[blocks, None])
+        product = _mod(_mod(g, p) @ _mod(nums, p), p)
+        ok = np.array_equal(product, np.eye(size) * (den % p))
+        if not ok:
+            break
     _debug(
-        __name__, "certificate k=%d n=%d N=%d rows=%d seconds=%.4f",
-        k, n, size, used, time.perf_counter() - start,
+        __name__, "certificate k=%d n=%d N=%d rows=%d primes=%d seconds=%.4f",
+        k, n, size, len(incidence), used, time.perf_counter() - start,
     )
     return ok
 
@@ -458,7 +563,7 @@ def weingarten_asymptotics(k, n_range, p, q):
     comparable = leq(p, q)
     relation = "mobius_residual" if comparable else "scaled_entry"
     mu = _mobius_row(k, a)[b]
-    exponent = p.block_count() + q.block_count() - _join_exponents(k)[a][b]
+    exponent = p.block_count() + q.block_count() - int(_join_exponents(k)[a, b])
     rows = []
     for n, (nums, den) in cells:
         w = Fraction(nums[a][b], den)

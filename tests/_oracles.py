@@ -82,6 +82,27 @@ def adjugate_by_bareiss(rows):
     return adj, det
 
 
+def certificate_by_partition_sums(nums, den, n, partitions, nc_below):
+    """True iff G A = den I in Python integers, with G = B^T diag((n)_{|tau|}) B
+    over the partitions tau of P(k), B[tau][p] = [p <= tau]: row p of G A is
+    the sum over tau >= p of (n)_{|tau|} * sum_{q <= tau} A[q].  `nc_below`
+    gives the NC(k) positions below tau.  No modular arithmetic and no bound:
+    every entry of the product is compared exactly."""
+    size = len(nums)
+    product = [[0] * size for _ in range(size)]
+    for tau in partitions:
+        factor = math.perm(n, tau.block_count())
+        if not factor:
+            continue
+        below = nc_below(tau)
+        s = [factor * x for x in map(sum, zip(*[nums[q] for q in below]))]
+        for p in below:
+            product[p] = list(map(operator.add, product[p], s))
+    return all(
+        row == [den if j == i else 0 for j in range(size)] for i, row in enumerate(product)
+    )
+
+
 def nc_moment_sum(spec_values, letters, labels, enumerate_nc, leq, kernel):
     """Sum over admissible non-crossing partitions of products of block values.
 

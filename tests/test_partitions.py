@@ -273,6 +273,21 @@ class TestKernel:
         with pytest.raises(BoundError):
             kernel(())
 
+    def test_matches_the_checked_constructor(self):
+        # kernel skips the constructor's checks; the checked constructor, fed
+        # the letter classes in arbitrary order, must build the same object
+        for length in range(1, 7):
+            for word in itertools.product("abc", repeat=length):
+                groups = [
+                    [x for x in range(length, 0, -1) if word[x - 1] == letter]
+                    for letter in set(word)
+                ]
+                want, got = SetPartition(groups), kernel(word)
+                assert (got.ground_size, got.blocks, got.pairs) == (
+                    want.ground_size, want.blocks, want.pairs
+                )
+                assert got == want and hash(got) == hash(want)
+
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     def test_leq_kernel_iff_blockwise_constant(self, word):
         ker = kernel(word)

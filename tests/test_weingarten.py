@@ -7,11 +7,13 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qperm.errors import BoundError, DomainError, InvariantViolation, SingularGramError
 from qperm.partitions import (
     SetPartition,
+    _nc_below,
     enumerate_nc,
     enumerate_partitions,
     join,
@@ -22,6 +24,7 @@ from qperm.partitions import (
 )
 from qperm.weingarten import (
     _PRIMES,
+    _word_primes,
     _haar_average_over_sn,
     _haar_weingarten_by_kernels,
     _join_exponents,
@@ -38,6 +41,7 @@ from qperm.weingarten import (
 from _oracles import (
     adjugate_by_bareiss,
     asymptotics_by_fraction_table,
+    certificate_by_partition_sums,
     dk_by_fraction_table,
     gauss_jordan_inverse,
     haar_by_fraction_table,
@@ -258,9 +262,9 @@ class TestWeingarten:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_join_exponents_match_join(self, k):
         nc = enumerate_nc(k)
-        assert _join_exponents(k) == tuple(
-            tuple(join(p, q).block_count() for q in nc) for p in nc
-        )
+        assert _join_exponents(k).tolist() == [
+            [join(p, q).block_count() for q in nc] for p in nc
+        ]
 
     def test_elimination_logs_one_debug_record(self, caplog):
         logger = logging.getLogger("qperm.weingarten")
@@ -291,8 +295,12 @@ class TestWeingarten:
             assert check_inverse(4, 3)
         records = [r for r in caplog.records if r.name == "qperm.weingarten"]
         assert len(records) == 1
-        # P(4) has 15 partitions; (3)_4 = 0 drops 1|2|3|4
-        assert records[0].getMessage().startswith("certificate k=4 n=3 N=14 rows=14 seconds=")
+        # P(4) has 15 partitions; (3)_4 = 0 drops 1|2|3|4; one prime exceeds
+        # twice N n^k max|A| + D here
+        assert re.fullmatch(
+            r"certificate k=4 n=3 N=14 rows=14 primes=1 seconds=\d+\.\d{4}",
+            records[0].getMessage(),
+        )
 
     def test_certificate_record_excludes_the_inverse_it_builds(self, caplog, monkeypatch):
         # a fresh memo: the pair is cold, so check_inverse builds it
@@ -342,45 +350,137 @@ class TestPadicInverse:
             _weingarten_pair.__wrapped__(2, 4)
 
     @pytest.mark.parametrize("k,n", [(6, 18), (3, 2**14), (4, 2**20)])
-    def test_lift_in_python_integers(self, k, n):
-        # N max G 2^21 passes 2^53 from (6, 18) on, so the lift leaves float64
-        # for Python integers; the entries themselves pass 2^63 at (4, 2^20)
+    def test_lift_in_python_integers(self, monkeypatch, k, n):
+        # N max G 2^21 passes 2^53 from (6, 18) on, so G is split into limbs
+        # and the residue leaves int64 for Python integers; the entries
+        # themselves pass 2^63 at (4, 2^20).  The lifts are the same `_lift`.
+        real, dtypes = MODULE._lift, []
+
+        def spy(inverse, limbs, residue, p):
+            dtypes.append(residue.dtype)
+            return real(inverse, limbs, residue, p)
+
+        monkeypatch.setattr(MODULE, "_lift", spy)
         rows = gram(k, n).entries
         assert len(rows) * n**k * 2**21 >= 2**53
         pair = _weingarten_pair.__wrapped__(k, n)
         assert pair == lowest_terms(*adjugate_by_bareiss(rows))
+        assert dtypes and all(d == object for d in dtypes)
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_tampered_reconstruction_is_never_returned(self, monkeypatch, delta):
+        # a wrong D leaves a residue after the lift bound, so the sample is
+        # widened and the next D is reconstructed from the whole triangle
         real = MODULE._reconstruct
         tampered = []
 
         def tamper_first(approx, modulus):
-            found = real(approx, modulus)
-            if found is None or tampered:
-                return found
-            nums, den = found
+            den = real(approx, modulus)
+            if den is None or tampered:
+                return den
             tampered.append(den)
-            nums = nums.copy()
-            nums[0] += delta
-            return nums, den
+            return den + delta
 
         monkeypatch.setattr(MODULE, "_reconstruct", tamper_first)
         assert _weingarten_pair.__wrapped__(4, 5) == lowest_terms(*bareiss(4, 5))
         assert tampered
 
         def tamper_every(approx, modulus):
-            found = real(approx, modulus)
-            if found is None:
-                return found
-            nums, den = found
-            nums = nums.copy()
-            nums[0] += delta
-            return nums, den
+            den = real(approx, modulus)
+            return den if den is None else den + delta
 
         monkeypatch.setattr(MODULE, "_reconstruct", tamper_every)
         with pytest.raises(InvariantViolation, match="no exact inverse"):
             _weingarten_pair.__wrapped__(4, 5)
+
+    def test_tampered_digit_is_never_returned(self, monkeypatch):
+        # C = G^{-1} mod p off by one at (0, 0) in the first lift from D I:
+        # the digit is wrong, and p does not divide R - G X
+        real = MODULE._lift
+        den = lowest_terms(*bareiss(4, 5))[1]
+        tampered = []
+
+        def tamper(inverse, limbs, residue, p):
+            if not tampered and np.array_equal(residue, den * np.eye(len(residue))):
+                tampered.append(p)
+                inverse = inverse.copy()
+                inverse[0, 0] = (inverse[0, 0] + 1) % p
+            return real(inverse, limbs, residue, p)
+
+        monkeypatch.setattr(MODULE, "_lift", tamper)
+        with pytest.raises(InvariantViolation, match="does not divide"):
+            _weingarten_pair.__wrapped__(4, 5)
+        assert tampered
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_bareiss_on_criterion_3_cells(self, k):
+        # criterion 3 reads k <= 4 for n up to 60
+        for n in (4, 5, 13, 29, 47, 60):
+            assert _weingarten_pair(k, n) == lowest_terms(*bareiss(k, n))
+
+
+class TestModularCertificate:
+    """check_inverse against the Python-integer certificate over P(k), and
+    its CRT bound."""
+
+    @staticmethod
+    def oracle(k, n, pair):
+        return certificate_by_partition_sums(*pair, n, enumerate_partitions(k), _nc_below)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_integer_oracle_on_criterion_2_cells(self, monkeypatch, k):
+        for n in range(4, 13):
+            pair = _weingarten_pair(k, n)
+            assert check_inverse(k, n) is self.oracle(k, n, pair) is True
+            wrongs = []
+            nums, den = pair
+            # off by 1, and off by the first word prime, which only the
+            # other primes can see
+            for delta in (1, _PRIMES[0]):
+                rows = [list(row) for row in nums]
+                rows[-1][0] += delta
+                wrongs.append((tuple(map(tuple, rows)), den))
+            for wrong in wrongs + [(nums, den + 1)]:
+                with monkeypatch.context() as patch:
+                    patch.setattr(MODULE, "_weingarten_pair", lambda k, n, wrong=wrong: wrong)
+                    assert check_inverse(k, n) is self.oracle(k, n, wrong) is False
+
+    @pytest.mark.parametrize("k,n", [(3, 2**18), (4, 2**20)])
+    def test_equals_the_integer_oracle_on_wide_cells(self, monkeypatch, k, n):
+        # n^k passes 2^53, so G is rebuilt mod each prime; at (4, 2^20) the
+        # entries of A pass 2^63 and are reduced as Python integers
+        pair = _weingarten_pair(k, n)
+        assert check_inverse(k, n) is self.oracle(k, n, pair) is True
+        nums, den = pair
+        rows = [list(row) for row in nums]
+        rows[0][-1] -= 1
+        for wrong in ((tuple(map(tuple, rows)), den), (nums, den - 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(MODULE, "_weingarten_pair", lambda k, n, wrong=wrong: wrong)
+                assert check_inverse(k, n) is self.oracle(k, n, wrong) is False
+
+    def test_equals_the_integer_oracle_at_k7(self):
+        assert check_inverse(7, 5) is self.oracle(7, 5, _weingarten_pair(7, 5)) is True
+
+    def test_too_few_primes_never_certify(self, monkeypatch):
+        monkeypatch.setattr(MODULE, "_word_primes", lambda count: _PRIMES[:1])
+        for k, n in [(4, 5), (5, 6), (6, 4), (6, 12)]:
+            nums, den = _weingarten_pair(k, n)
+            widest = max(abs(x) for row in nums for x in row)
+            assert 2 * (len(nums) * n**k * widest + den) >= _PRIMES[0]
+            with pytest.raises(BoundError, match="CRT bound"):
+                check_inverse(k, n)
+
+    def test_word_primes_are_the_largest_below_2_21(self):
+        top = 1 << 21
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for d in range(2, math.isqrt(top) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, top, d)))
+        primes = [x for x in range(top - 1, top - 3000, -1) if sieve[x]]
+        assert _word_primes(len(primes)) == tuple(primes)
+        assert _word_primes(len(_PRIMES)) == _PRIMES
 
 
 class TestCertificateMutations:
