@@ -2,11 +2,13 @@
 
 Each criterion function performs one end-to-end check at its stated
 tolerance and returns a CriterionResult; `run_all` executes the full
-battery (optionally trimmed to a smaller k/n budget for smoke runs).
+battery.  Both take one ExperimentConfig, whose k_max and top of n_range
+only ever trim a criterion's own sweep, for smoke runs.
 Brute-force oracles used here are written against the raw definitions,
 independent of the production enumeration and inversion paths.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -22,7 +24,7 @@ from .cumulants import (
     cumulants_to_moments,
     moments_to_cumulants,
 )
-from .errors import InvariantViolation, SingularGramError
+from .errors import InvariantViolation, QpermError, SingularGramError
 from .exchange import (
     UrnModel,
     bernoulli_moments,
@@ -38,6 +40,7 @@ from .exchange import (
     two_projection_magic_unitary,
 )
 from .partitions import (
+    K_MAX,
     SetPartition,
     enumerate_nc,
     enumerate_partitions,
@@ -49,6 +52,34 @@ from .weingarten import _no_growth, check_inverse, haar_moment, weingarten_asymp
 
 NC_COUNTS = (1, 2, 5, 14, 42, 132, 429)
 BELL_COUNTS = (1, 2, 5, 15, 52, 203, 877)
+
+#: The two-projection angle of criteria 8 and 11, one of criterion 9's pool.
+THETA = math.pi / 5
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The four settings of `qperm reproduce-all`, whose defaults are
+    written here only.  k_max and the top of n_range trim the sweep each
+    criterion fixes for itself; they never widen it."""
+
+    k_max: int = K_MAX
+    n_range: tuple = (4, 60)  # covers the widest acceptance sweep
+    tolerance: float = 1e-9
+    seed: int = 20260808
+
+    def __post_init__(self):
+        if not 1 <= self.k_max <= K_MAX:
+            raise QpermError(f"k_max must be in 1..{K_MAX}")
+        if self.n_range[0] != 4 or self.n_range[1] < 4:
+            raise QpermError("n_range must be 4..HI with HI >= 4: the sweeps keep their "
+                             "own starts, and only the top HI trims them")
+        if self.tolerance < 0:
+            raise QpermError("tolerance must be >= 0")
+
+    def ns(self, hi):
+        """A criterion's sweep n = 4..hi, trimmed to the top of n_range."""
+        return range(self.n_range[0], min(hi, self.n_range[1]) + 1)
 
 
 @dataclass(frozen=True)
@@ -79,18 +110,27 @@ class CriterionResult:
         }
 
 
-def _result(number, name, passed, observed, requirement, start):
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=passed,
-        observed=observed,
-        requirement=requirement,
-        seconds=time.perf_counter() - start,
-    )
+def _criterion(number, name):
+    """Number, name and time a check: `check(config)` returns (passed,
+    observed, requirement), and the criterion returns its CriterionResult."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def criterion(config=ExperimentConfig()):
+            start = time.perf_counter()
+            passed, observed, requirement = check(config)
+            return CriterionResult(
+                number, name, passed, observed, requirement, time.perf_counter() - start
+            )
+
+        return criterion
+
+    return decorate
 
 
-def criterion_1_haar_first_moment(ns=range(4, 9)):
+@_criterion(1, "haar first moment")
+def criterion_1_haar_first_moment(config):
+    ns = config.ns(8)
     start = time.perf_counter()
     bad = []
     for n in ns:
@@ -100,18 +140,16 @@ def criterion_1_haar_first_moment(ns=range(4, 9)):
                 if haar_moment(n, (i,), (j,)) != want:
                     bad.append((n, i, j))
     elapsed = time.perf_counter() - start
-    passed = not bad and elapsed < 1.0
-    return _result(
-        1,
-        "haar first moment",
-        passed,
+    return (
+        not bad and elapsed < 1.0,
         f"{len(bad)} mismatches over n in {min(ns)}..{max(ns)}",
         "exactly 1/n for all i, j; under 1 second",
-        start,
     )
 
 
-def criterion_2_weingarten_inversion(k_hi=6, ns=range(4, 13), budget_s=600.0):
+@_criterion(2, "weingarten inversion")
+def criterion_2_weingarten_inversion(config):
+    k_hi, ns, budget_s = min(6, config.k_max), config.ns(12), 600.0
     start = time.perf_counter()
     checked = 0
     bad = []
@@ -126,19 +164,16 @@ def criterion_2_weingarten_inversion(k_hi=6, ns=range(4, 13), budget_s=600.0):
             if not ok:
                 bad.append((k, n, "product differs from identity"))
     elapsed = time.perf_counter() - start
-    passed = not bad and elapsed <= budget_s
-    return _result(
-        2,
-        "weingarten inversion",
-        passed,
+    return (
+        not bad and elapsed <= budget_s,
         f"{checked} exact identity checks",
         f"G*W = I exactly for k <= {k_hi}, n in {min(ns)}..{max(ns)}, within {budget_s:.0f}s",
-        start,
     )
 
 
-def criterion_3_lemma_west(k_hi=4, ns=range(4, 61)):
-    start = time.perf_counter()
+@_criterion(3, "lemma-west residuals")
+def criterion_3_lemma_west(config):
+    k_hi, ns = min(4, config.k_max), config.ns(60)
     failures = []
     worst = Fraction(0)
     cells = 0
@@ -151,13 +186,10 @@ def criterion_3_lemma_west(k_hi=4, ns=range(4, 61)):
                 worst = max(worst, report.max_abs)
                 if not report.bounded:
                     failures.append((k, str(p), str(q), report.relation))
-    return _result(
-        3,
-        "lemma-west residuals",
+    return (
         not failures,
         f"{cells} pair sweeps bounded, max scaled residual {float(worst):.4f}",
         f"residuals bounded over n in {min(ns)}..{max(ns)} (no growth trend)",
-        start,
     )
 
 
@@ -189,8 +221,9 @@ def _crosses_by_definition(blocks):
     return False
 
 
-def criterion_4_counting_oracles(k_hi=7):
-    start = time.perf_counter()
+@_criterion(4, "counting oracles")
+def criterion_4_counting_oracles(config):
+    k_hi = min(7, config.k_max)
     bad = []
     for k in range(1, k_hi + 1):
         brute = _partitions_by_function_kernels(k)
@@ -201,18 +234,16 @@ def criterion_4_counting_oracles(k_hi=7):
             bad.append((k, "P", len(got_p), len(brute)))
         if not (got_nc == brute_nc and len(brute_nc) == NC_COUNTS[k - 1]):
             bad.append((k, "NC", len(got_nc), len(brute_nc)))
-    return _result(
-        4,
-        "counting oracles",
+    return (
         not bad,
         f"P and NC enumerations match brute force for k <= {k_hi}" if not bad else str(bad),
         f"|P(k)| = Bell, |NC(k)| = Catalan, k <= {k_hi}, vs independent enumeration",
-        start,
     )
 
 
-def criterion_5_mobius_cross_validation(k_hi=5):
-    start = time.perf_counter()
+@_criterion(5, "mobius cross-validation")
+def criterion_5_mobius_cross_validation(config):
+    k_hi = min(5, config.k_max)
     pairs = 0
     bad = []
     for k in range(1, k_hi + 1):
@@ -221,13 +252,10 @@ def criterion_5_mobius_cross_validation(k_hi=5):
                 pairs += 1
                 if mobius_nc(p, q) != mobius_nc_chain_count(p, q):
                     bad.append((k, str(p), str(q)))
-    return _result(
-        5,
-        "mobius cross-validation",
+    return (
         not bad,
         f"recursion equals chain-count formula on {pairs} pairs",
         f"all NC(k) pairs, k <= {k_hi}, exact",
-        start,
     )
 
 
@@ -247,8 +275,9 @@ def _subsequences(word):
     return out
 
 
-def criterion_6_round_trip(cases=100, k_hi=5, seed=20260808):
-    start = time.perf_counter()
+@_criterion(6, "moment-cumulant round trip")
+def criterion_6_round_trip(config):
+    cases, k_hi, seed = 100, min(5, config.k_max), config.seed
     rng = random.Random(seed)
     alphabet = ("a", "b")
     bad = 0
@@ -270,29 +299,22 @@ def criterion_6_round_trip(cases=100, k_hi=5, seed=20260808):
         spec2 = CumulantSpec(alphabet, k, values)
         if cumulants_to_moments(spec2, word) != raw[word]:
             bad += 1
-    return _result(
-        6,
-        "moment-cumulant round trip",
+    return (
         bad == 0,
         f"{cases} randomized cases (seed {seed}), both directions, {bad} failures",
         f"exact round trip, k <= {k_hi}",
-        start,
     )
 
 
-def criterion_7_semicircular(lengths=(2, 4, 6, 8)):
-    start = time.perf_counter()
-    spec = CumulantSpec(("c",), max(lengths), {("c", "c"): Fraction(1)})
+@_criterion(7, "semicircular desk check")
+def criterion_7_semicircular(config):
     catalan = {2: 1, 4: 2, 6: 5, 8: 14}
-    got = {m: cumulants_to_moments(spec, ("c",) * m) for m in lengths}
-    passed = all(got[m] == catalan[m] for m in lengths)
-    return _result(
-        7,
-        "semicircular desk check",
-        passed,
-        "moments " + ", ".join(str(got[m]) for m in lengths),
+    spec = CumulantSpec(("c",), max(catalan), {("c", "c"): Fraction(1)})
+    got = {m: cumulants_to_moments(spec, ("c",) * m) for m in catalan}
+    return (
+        all(got[m] == want for m, want in catalan.items()),
+        "moments " + ", ".join(str(got[m]) for m in catalan),
         "Catalan numbers 1, 2, 5, 14 at lengths 2, 4, 6, 8, exact",
-        start,
     )
 
 
@@ -309,28 +331,26 @@ def _rich_spec(k_max=4):
     )
 
 
-def criterion_8_free_implies_invariant(ns=(4, 5), k_hi=4, tol=1e-9, theta=math.pi / 5):
-    start = time.perf_counter()
+@_criterion(8, "free implies quantum exchangeable")
+def criterion_8_free_implies_invariant(config):
+    k_hi, tol = min(4, config.k_max), config.tolerance
     spec = _rich_spec(k_hi)
-    functionals = {n: free_iid_functional(spec, n, k_hi) for n in {*ns, 4}}
-    worst_exact = max(permutation_deviation(functionals[n], k_hi) for n in ns)
-    u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(theta))
+    functionals = {n: free_iid_functional(spec, n, k_hi) for n in (4, 5)}
+    worst_exact = max(permutation_deviation(mf, k_hi) for mf in functionals.values())
+    u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
     worst_complex = invariance_check(functionals[4], u2, max_degree=k_hi).max_deviation
-    passed = worst_exact == 0 and worst_complex <= tol
-    return _result(
-        8,
-        "free implies quantum exchangeable",
-        passed,
+    return (
+        worst_exact == 0 and worst_complex <= tol,
         f"permutation deviation {worst_exact}, two-projection deviation {worst_complex:.2e}",
         f"0 exactly for rational unitaries; <= {tol} for the two-projection unitary",
-        start,
     )
 
 
-def criterion_9_block_sum_identity(cells=200, k_hi=5, tol=1e-9, seed=20260808):
-    start = time.perf_counter()
+@_criterion(9, "block-sum identity")
+def criterion_9_block_sum_identity(config):
+    cells, k_hi, tol, seed = 200, min(5, config.k_max), config.tolerance, config.seed
     rng = random.Random(seed)
-    theta_pool = [math.pi / 5, 1.3, 0.4]
+    theta_pool = [THETA, 1.3, 0.4]
     bad = 0
     for _ in range(cells):
         k = rng.randint(1, k_hi)
@@ -345,13 +365,10 @@ def criterion_9_block_sum_identity(cells=200, k_hi=5, tol=1e-9, seed=20260808):
         j_word = tuple(rng.randint(1, u.n) for _ in range(k))
         if not block_sum_matches_indicator(u, pi, j_word, tol=tol):
             bad += 1
-    return _result(
-        9,
-        "block-sum identity",
+    return (
         bad == 0,
         f"{cells} randomized cells (seed {seed}), {bad} failures",
         f"sum equals indicator exactly / within {tol}, k <= {k_hi}",
-        start,
     )
 
 
@@ -361,8 +378,9 @@ def _profiles(n):
     return {"0/1 mix": ones, "three-valued": three}
 
 
-def criterion_10_definetti_gap(k_hi=4, ns=range(4, 25)):
-    start = time.perf_counter()
+@_criterion(10, "finite de Finetti gap")
+def criterion_10_definetti_gap(config):
+    k_hi, ns = min(4, config.k_max), config.ns(24)
     failures = []
     scaled = {}
     for n in ns:
@@ -384,58 +402,51 @@ def criterion_10_definetti_gap(k_hi=4, ns=range(4, 25)):
     trend_bad = [key for key, values in scaled.items() if not _no_growth(values)]
     worst = max((max(v) for v in scaled.values()), default=Fraction(0))
     passed = not failures and not trend_bad
-    return _result(
-        10,
-        "finite de Finetti gap",
+    return (
         passed,
         f"all gaps within d_k(n)/n; max gap*n = {float(worst):.4f}"
         if passed
         else f"{len(failures)} bound failures, trend issues: {trend_bad}",
         f"|urn - free| <= d_k(n)/n for k <= {k_hi}, n in {min(ns)}..{max(ns)}; "
         "gap*n bounded over the sweep (finite-sweep substitute for the universal constant)",
-        start,
     )
 
 
-def criterion_11_classical_quantum_separation(theta=math.pi / 5, degree=4):
-    start = time.perf_counter()
+@_criterion(11, "classical vs quantum separation")
+def criterion_11_classical_quantum_separation(config):
+    degree = 4
     mf = tensor_iid_functional(bernoulli_moments(degree), 4, degree)
     worst_perm = permutation_deviation(mf, degree)
-    u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(theta))
+    u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
     report = invariance_check(mf, u2, max_degree=degree)
-    passed = worst_perm == 0 and report.max_deviation > 1e-3
-    return _result(
-        11,
-        "classical vs quantum separation",
-        passed,
+    return (
+        worst_perm == 0 and report.max_deviation > 1e-3,
         f"permutation deviation {worst_perm}; two-projection deviation "
         f"{report.max_deviation:.4f} at word {report.witness}",
         "tensor Bernoulli passes every permutation unitary exactly but fails the "
         "two-projection unitary at degree 4 with deviation > 1e-3",
-        start,
     )
 
 
-def criterion_12_hewitt_savage_scaling(ns=range(1, 21)):
-    start = time.perf_counter()
+@_criterion(12, "hewitt-savage scaling")
+def criterion_12_hewitt_savage_scaling(config):
+    ns = range(1, 21)
     bad = []
     for variance in (Fraction(1), Fraction(7, 3)):
         spec = CumulantSpec(("c",), 4, {("c", "c"): variance})
         for n in ns:
             if cesaro_variance(spec, n) != variance / n:
                 bad.append((str(variance), n))
-    return _result(
-        12,
-        "hewitt-savage scaling",
+    return (
         not bad,
         f"cesaro variance equals phi(c*c)/n for n in {min(ns)}..{max(ns)}",
         "exact 1/n scaling of the squared Cesaro mean",
-        start,
     )
 
 
-def criterion_13_small_n_consistency(k_hi=4):
-    start = time.perf_counter()
+@_criterion(13, "small-n classical consistency")
+def criterion_13_small_n_consistency(config):
+    k_hi = min(4, config.k_max)
     bad = 0
     pairs = 0
     for n in (1, 2, 3):
@@ -453,35 +464,28 @@ def criterion_13_small_n_consistency(k_hi=4):
                         want = Fraction(0)
                     if got != want:
                         bad += 1
-    return _result(
-        13,
-        "small-n classical consistency",
+    return (
         bad == 0,
         f"{pairs} word pairs agree with the closed-form permutation count",
         f"S_n-averaging branch equals explicit classical computation, k <= {k_hi}",
-        start,
     )
 
 
-def run_all(k_max=8, n_hi=None, tolerance=1e-9, seed=20260808):
-    """Run every acceptance criterion; n_hi/k_max only ever trim sweeps."""
-
-    def cap_range(lo, hi):
-        top = hi if n_hi is None else min(hi, max(n_hi, lo))
-        return range(lo, top + 1)
-
+def run_all(config=ExperimentConfig()):
+    """Run every acceptance criterion.  Each is called through its module
+    global, so that a wrapper installed there, such as a tracer's, sees it."""
     return [
-        criterion_1_haar_first_moment(ns=cap_range(4, 8)),
-        criterion_2_weingarten_inversion(k_hi=min(6, k_max), ns=cap_range(4, 12)),
-        criterion_3_lemma_west(k_hi=min(4, k_max), ns=cap_range(4, 60)),
-        criterion_4_counting_oracles(k_hi=min(7, max(k_max, 1))),
-        criterion_5_mobius_cross_validation(k_hi=min(5, k_max)),
-        criterion_6_round_trip(k_hi=min(5, k_max), seed=seed),
-        criterion_7_semicircular(),
-        criterion_8_free_implies_invariant(k_hi=min(4, k_max), tol=tolerance),
-        criterion_9_block_sum_identity(k_hi=min(5, k_max), tol=tolerance, seed=seed),
-        criterion_10_definetti_gap(k_hi=min(4, k_max), ns=cap_range(4, 24)),
-        criterion_11_classical_quantum_separation(),
-        criterion_12_hewitt_savage_scaling(),
-        criterion_13_small_n_consistency(k_hi=min(4, k_max)),
+        criterion_1_haar_first_moment(config),
+        criterion_2_weingarten_inversion(config),
+        criterion_3_lemma_west(config),
+        criterion_4_counting_oracles(config),
+        criterion_5_mobius_cross_validation(config),
+        criterion_6_round_trip(config),
+        criterion_7_semicircular(config),
+        criterion_8_free_implies_invariant(config),
+        criterion_9_block_sum_identity(config),
+        criterion_10_definetti_gap(config),
+        criterion_11_classical_quantum_separation(config),
+        criterion_12_hewitt_savage_scaling(config),
+        criterion_13_small_n_consistency(config),
     ]

@@ -7,12 +7,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import acceptance
+from .acceptance import ExperimentConfig
 from .cumulants import (
     CumulantSpec,
     MomentFunctional,
@@ -23,6 +25,7 @@ from .cumulants import (
 )
 from .errors import InvariantViolation, QpermError
 from .exchange import (
+    DEFAULT_TOL,
     UrnModel,
     definetti_gap,
     invariance_check,
@@ -32,7 +35,7 @@ from .exchange import (
     urn_moment_classical,
     urn_moment_quantum,
 )
-from .partitions import K_MAX, SetPartition, enumerate_nc, enumerate_partitions, mobius_nc
+from .partitions import SetPartition, enumerate_nc, enumerate_partitions, mobius_nc
 from .weingarten import (
     dk_value,
     haar_moment,
@@ -40,23 +43,6 @@ from .weingarten import (
     weingarten,
     weingarten_asymptotics,
 )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    k_max: int = K_MAX
-    n_range: tuple = (4, 60)  # covers the widest acceptance sweep
-    tolerance: float = 1e-9
-    seed: int = 20260808
-
-    def __post_init__(self):
-        if not 1 <= self.k_max <= K_MAX:
-            raise QpermError(f"k_max must be in 1..{K_MAX}")
-        if self.n_range[0] != 4 or self.n_range[1] < 4:
-            raise QpermError("n_range must be 4..HI with HI >= 4: the sweeps keep their "
-                             "own starts, and only the top HI trims them")
-        if self.tolerance < 0:
-            raise QpermError("tolerance must be >= 0")
 
 
 def _parse_range(text):
@@ -299,24 +285,13 @@ def _urn_from_args(args):
     return UrnModel(n=args.n, lam=lam)
 
 
-def cmd_urn_quantum(args):
+def cmd_urn_moment(moment, args):
+    """`urn quantum` and `urn classical`: the urn moment that `moment` computes."""
     model = _urn_from_args(args)
     j = _parse_ints(args.j)
-    value = urn_moment_quantum(model, j)
+    value = moment(model, j)
     return _emit(
-        "urn quantum",
-        {"n": args.n, "lam": [rational_str(x) for x in model.lam], "j": list(j)},
-        {"value": rational_str(value)},
-        True,
-    )
-
-
-def cmd_urn_classical(args):
-    model = _urn_from_args(args)
-    j = _parse_ints(args.j)
-    value = urn_moment_classical(model, j)
-    return _emit(
-        "urn classical",
+        f"urn {args.subcommand}",
         {"n": args.n, "lam": [rational_str(x) for x in model.lam], "j": list(j)},
         {"value": rational_str(value)},
         True,
@@ -384,10 +359,10 @@ def cmd_magic_invariance(args):
     return _emit("magic invariance", config, results, report.passed)
 
 
-def _recording_builds(run):
-    """(run(), builds): `builds` maps each kind of table build that logged a
-    debug record during run() to its count and summed seconds.  A build's
-    record names its kind before " k=" and passes its seconds last."""
+def _recording_builds(run, *args):
+    """(run(*args), builds): `builds` maps each kind of table build that
+    logged a debug record during the run to its count and summed seconds.  A
+    build's record names its kind before " k=" and passes its seconds last."""
     # imported here, so that only --timings pays for the logging package
     import logging
 
@@ -406,7 +381,7 @@ def _recording_builds(run):
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        return run(), builds
+        return run(*args), builds
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
@@ -440,20 +415,11 @@ def cmd_reproduce_all(args):
         tolerance=args.tol,
         seed=args.seed,
     )
-
-    def run():
-        return acceptance.run_all(
-            k_max=config_obj.k_max,
-            n_hi=hi,
-            tolerance=config_obj.tolerance,
-            seed=config_obj.seed,
-        )
-
     if args.timings:
-        results, builds = _recording_builds(run)
+        results, builds = _recording_builds(acceptance.run_all, config_obj)
         _write_timings(args.timings, results, builds)
     else:
-        results = run()
+        results = acceptance.run_all(config_obj)
     config = {**asdict(config_obj), "n_range": f"{lo}..{hi}"}
     all_pass = all(r.passed for r in results)
     if args.csv:
@@ -538,8 +504,8 @@ def build_parser():
     p_urn = sub.add_parser("urn", help="urn-sequence moments and the gap experiment")
     urn_sub = p_urn.add_subparsers(dest="subcommand", required=True)
     for name, handler in (
-        ("quantum", cmd_urn_quantum),
-        ("classical", cmd_urn_classical),
+        ("quantum", partial(cmd_urn_moment, urn_moment_quantum)),
+        ("classical", partial(cmd_urn_moment, urn_moment_classical)),
         ("gap", cmd_urn_gap),
     ):
         u = urn_sub.add_parser(name)
@@ -553,7 +519,7 @@ def build_parser():
     m_val = magic_sub.add_parser("validate")
     m_val.add_argument("--perm", help="comma-separated images, e.g. 2,1,3")
     m_val.add_argument("--theta", type=float, help="two-projection angle")
-    m_val.add_argument("--tol", type=float, default=1e-9)
+    m_val.add_argument("--tol", type=float, default=DEFAULT_TOL)
     m_val.set_defaults(handler=cmd_magic_validate)
     m_inv = magic_sub.add_parser("invariance")
     m_inv.add_argument("--perm")
@@ -564,10 +530,11 @@ def build_parser():
     m_inv.set_defaults(handler=cmd_magic_invariance)
 
     p_rep = sub.add_parser("reproduce-all", help="run the full acceptance battery")
-    p_rep.add_argument("--k-max", type=int, default=K_MAX)
-    p_rep.add_argument("--n-range", default="4..60")
-    p_rep.add_argument("--tol", type=float, default=1e-9)
-    p_rep.add_argument("--seed", type=int, default=20260808)
+    defaults = ExperimentConfig()
+    p_rep.add_argument("--k-max", type=int, default=defaults.k_max)
+    p_rep.add_argument("--n-range", default="{}..{}".format(*defaults.n_range))
+    p_rep.add_argument("--tol", type=float, default=defaults.tolerance)
+    p_rep.add_argument("--seed", type=int, default=defaults.seed)
     p_rep.add_argument("--csv", action="store_true")
     p_rep.add_argument(
         "--timings",

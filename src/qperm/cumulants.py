@@ -49,7 +49,6 @@ class MomentFunctional:
     alphabet: tuple
     k_max: int
     moments: dict
-    unit_value: object = Fraction(1)
     involution: dict = None
 
     def value(self, word):
@@ -57,7 +56,7 @@ class MomentFunctional:
         if len(word) > self.k_max:
             raise BoundError(f"word length {len(word)} exceeds k_max={self.k_max}")
         if not word:
-            return self.unit_value
+            return Fraction(1)
         try:
             return self.moments[word]
         except KeyError:

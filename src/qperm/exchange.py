@@ -178,7 +178,7 @@ def rotated_projection(theta):
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
-def two_projection_magic_unitary(p, q, tol=DEFAULT_TOL):
+def two_projection_magic_unitary(p, q):
     """The 4 x 4 block pattern [[p,1-p,0,0],[1-p,p,0,0],[0,0,q,1-q],[0,0,1-q,q]].
 
     Noncommutative whenever p and q do not commute; this is the smallest
@@ -189,7 +189,7 @@ def two_projection_magic_unitary(p, q, tol=DEFAULT_TOL):
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionError("p and q must be square matrices of equal size")
     for name, a in (("p", p), ("q", q)):
-        if np.max(np.abs(a @ a - a)) > tol or np.max(np.abs(a.conj().T - a)) > tol:
+        if np.max(np.abs(a @ a - a)) > DEFAULT_TOL or np.max(np.abs(a.conj().T - a)) > DEFAULT_TOL:
             raise DomainError(f"{name} is not a projection")
     one = np.eye(p.shape[0], dtype=complex)
     z = np.zeros_like(one)

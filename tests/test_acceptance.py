@@ -1,6 +1,12 @@
 """Acceptance suite: one test per criterion, each printing its pass/fail line."""
 
+import json
+from pathlib import Path
+
 from qperm import acceptance
+from qperm.acceptance import ExperimentConfig
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "reproduce-all.stdout"
 
 
 def _run(criterion_fn, *args, **kwargs):
@@ -61,3 +67,29 @@ def test_criterion_12_hewitt_savage_scaling():
 
 def test_criterion_13_small_n_consistency():
     _run(acceptance.criterion_13_small_n_consistency)
+
+
+def test_run_all_calls_each_criterion_through_its_module_global(monkeypatch):
+    # perfbench/tracing.py times a criterion by replacing its module attribute;
+    # run_all must call through that attribute, or the criterion's time reads 0.
+    names = sorted(
+        (name for name in vars(acceptance) if name.startswith("criterion_")),
+        key=lambda name: int(name.split("_")[1]),
+    )
+    config = ExperimentConfig(k_max=2, n_range=(4, 4))
+    calls = []
+
+    def spy(name, real):
+        def criterion(got):
+            calls.append((name, got))
+            return real(got)
+
+        return criterion
+
+    for name in names:
+        monkeypatch.setattr(acceptance, name, spy(name, getattr(acceptance, name)))
+    results = acceptance.run_all(config)
+    assert calls == [(name, config) for name in names]
+    golden = json.loads(GOLDEN_REPORT.read_text())["results"]
+    assert [(r.number, r.name) for r in results] == [(e["criterion"], e["name"]) for e in golden]
+    assert [r.number for r in results] == list(range(1, 14))

@@ -38,9 +38,23 @@ CASES = {
     "reproduce-all": ["reproduce-all"],
     "reproduce-all-seed-7": ["reproduce-all", "--seed", "7"],
     "reproduce-all-csv": ["reproduce-all", "--csv"],
+    "reproduce-all-k3-n12-csv": [
+        "reproduce-all", "--k-max", "3", "--n-range", "4..12", "--seed", "3", "--csv",
+    ],
+    "reproduce-all-k5-n9-tol": [
+        "reproduce-all", "--k-max", "5", "--n-range", "4..9", "--tol", "1e-6", "--seed", "11",
+    ],
+    "urn-quantum": ["urn", "quantum", "--n", "5", "--lam", "1,1/2,0,0,-1", "--j", "1,2,1,3"],
+    "urn-classical": ["urn", "classical", "--n", "5", "--lam", "1,1/2,0,0,-1", "--j", "1,2,1,3"],
     "urn-gap": ["urn", "gap", "--n", "6", "--lam", "1,1,1,0,0,0", "--j", "1,2,1,2"],
     "weingarten-table": ["weingarten", "table", "--k", "4", "--n", "5"],
     "weingarten-table-k8": ["weingarten", "table", "--k", "8", "--n", "5"],
+    "weingarten-dk": ["weingarten", "dk", "--k", "3", "--n-range", "4..9"],
+    "weingarten-asym-pair": [
+        "weingarten", "asym", "--k", "3", "--n-range", "4..9", "--p", "1|2|3", "--q", "1,2,3",
+    ],
+    "haar-moment": ["haar", "moment", "--n", "5", "--i", "1,2,1", "--j", "3,4,3"],
+    "partitions-enum-nc-csv": ["partitions", "enum", "--k", "4", "--nc", "--csv"],
     "partitions-mobius": ["partitions", "mobius", "--p", "1|2|3|4", "--q", "1,2,3,4"],
     "cumulants-convert-spec": ["cumulants", "convert", "--spec", "spec.json", "--word", "c,c,c,c"],
     "cumulants-convert-moments": ["cumulants", "convert", "--moments", "mf.json", "--word", "a,a"],
