@@ -15,7 +15,6 @@ from .errors import (
 )
 from .partitions import (
     K_MAX,
-    NonCrossingCertificate,
     SetPartition,
     enumerate_nc,
     enumerate_partitions,
@@ -26,7 +25,6 @@ from .partitions import (
     meet,
     mobius_nc,
     mobius_nc_chain_count,
-    noncrossing_certificate,
 )
 from .weingarten import (
     NCTable,
@@ -44,7 +42,6 @@ from .cumulants import (
     free_iid_moment,
     freeness_check,
     moments_to_cumulants,
-    nested_eval,
 )
 from .exchange import (
     MagicUnitary,
@@ -74,7 +71,6 @@ __all__ = [
     "MatrixProbabilitySpace",
     "MomentFunctional",
     "NCTable",
-    "NonCrossingCertificate",
     "QpermError",
     "SetPartition",
     "SingularGramError",
@@ -100,8 +96,6 @@ __all__ = [
     "mobius_nc",
     "mobius_nc_chain_count",
     "moments_to_cumulants",
-    "nested_eval",
-    "noncrossing_certificate",
     "permutation_deviation",
     "permutation_magic_unitary",
     "two_projection_magic_unitary",

@@ -1,19 +1,21 @@
 """Moment and cumulant functions over the non-crossing lattice.
 
-With commuting scalars, the nested collapse of a non-crossing partition
-is the plain product over its blocks of the block values, so every scalar
-sum is a sum of block products: moments of a cumulant specification,
-cumulants of a moment functional (Moebius inversion), free i.i.d. moments
-over the partitions below a kernel, and the vanishing-mixed-cumulants
-freeness test.  The recursive interval-extraction evaluator `nested_eval`
-serves the matrix instantiation, where the order of the factors matters.
+The nested collapse of a non-crossing partition is a product of its block
+values, so every sum is a sum of block products: moments of a cumulant
+specification, cumulants of a moment functional (Moebius inversion), free
+i.i.d. moments over the partitions below a kernel, and the
+vanishing-mixed-cumulants freeness test.  Scalars commute, and their
+blocks multiply in block order; d x d matrix values multiply in the order
+of each block's last position, every block after the blocks nested inside
+it, which is the order of the collapse.
 
 Scalars are exact rationals, summed in integers over one common denominator
-(one Fraction per sum); the matrix instantiation (values and operand
-coefficients in M_d(C)) is the only approximate layer, with tolerances
-stated at the call sites.  Operands are opaque algebra elements:
-interleaved algebra factors are absorbed into neighbouring operands, which
-is the deliberate narrowing of the fully general operator-valued setting.
+(one Fraction per sum); the matrix instantiation (cumulant values in
+M_d(C)) is the only approximate layer, with tolerances stated at the call
+sites.  Operands are opaque algebra elements: interleaved algebra factors
+are absorbed into neighbouring operands, which is the deliberate narrowing
+of the fully general operator-valued setting.  Moments stay scalar: matrix
+moments are refused by the inversion and the freeness test.
 """
 
 import itertools
@@ -30,7 +32,6 @@ from .partitions import (
     _all_nc,
     _mobius_below,
     _nc_below,
-    _peel,
     enumerate_nc,
     kernel,
 )
@@ -41,15 +42,12 @@ from .weingarten import rational_str
 class MomentFunctional:
     """Finitely supported word -> scalar map: a distribution at moment level.
 
-    No trace or symmetry property is assumed.  If `involution` maps each
-    symbol to its adjoint symbol, `state_like_violations` checks
-    value(reverse(star(w))) == conj(value(w)) on the stored support.
+    No trace or symmetry property is assumed.
     """
 
     alphabet: tuple
     k_max: int
     moments: dict
-    involution: dict = None
 
     def value(self, word):
         word = tuple(word)
@@ -61,19 +59,6 @@ class MomentFunctional:
             return self.moments[word]
         except KeyError:
             raise DomainError(f"moment undefined for word {word}") from None
-
-    def state_like_violations(self, tol=0):
-        if self.involution is None:
-            raise DomainError("no involution declared")
-        bad = []
-        for word, val in self.moments.items():
-            star = tuple(self.involution[s] for s in reversed(word))
-            if star in self.moments:
-                other = self.moments[star]
-                expected = other.conjugate() if hasattr(other, "conjugate") else other
-                if abs(val - expected) > tol:
-                    bad.append((word, val, expected))
-        return bad
 
     def to_json_dict(self):
         return {
@@ -103,9 +88,10 @@ _ZERO = Fraction(0)
 class CumulantSpec:
     """Free cumulants by (block size, letter word); unset words are zero.
 
-    Values are scalars, or d x d arrays for the matrix instantiation (a
-    matrix value V means the block contributes V times the ordered product
-    of the coefficients accumulated on the block's legs).
+    Values are scalars, or d x d arrays for the matrix instantiation: a
+    partition then contributes the product of its block values taken in the
+    order of each block's last position (scalars as multiples of I_d), and a
+    word that reads no matrix value gives its scalar moment times I_d.
     """
 
     alphabet: tuple
@@ -145,96 +131,42 @@ class CumulantSpec:
         return cls(alphabet=tuple(data["alphabet"]), k_max=int(data["k_max"]), values=values)
 
 
-def nested_eval(pi, block_fn, operands, multiply=operator.mul, choose_interval=None):
-    """Collapse interval blocks of a non-crossing partition recursively.
-
-    Each round finds the blocks that are intervals of the remaining
-    positions, picks one (the first, unless `choose_interval` selects
-    another of the offered intervals), applies `block_fn` to the tuple of
-    current operand values on that block, and multiplies the result onto
-    the preceding remaining operand (onto the following one, from the
-    left, if the block is initial).  The value of the last block is the
-    result.  For balanced block functions the outcome does not depend on
-    the removal order.
-    """
-    ops = list(operands)
-    if len(ops) != pi.ground_size:
-        raise DimensionError(
-            f"{len(ops)} operands for ground size {pi.ground_size}"
-        )
-    values = dict(enumerate(ops, start=1))
-    for step in _peel(pi, choose_interval):
-        if step is None:
-            raise DomainError(f"partition is not non-crossing: {pi}")
-        block, before, after = step
-        result = block_fn(tuple(values[x] for x in block))
-        if before is not None:
-            values[before] = multiply(values[before], result)
-        elif after is not None:
-            values[after] = multiply(result, values[after])
-        else:
-            return result
-
-
-class _Leg:
-    """A letter with the product of the algebra coefficients absorbed on
-    its left and right."""
-
-    __slots__ = ("coeff", "letter")
-
-    def __init__(self, coeff, letter):
-        self.coeff = coeff
-        self.letter = letter
-
-
-def _leg_evaluator(spec, d):
-    """Nested evaluation of a letter word at a partition in M_d, as a function
-    (pi, word) -> value: each block's value is `spec.value` of its letters,
-    scaled by the ordered product of the d x d coefficients that earlier
-    blocks left on its legs."""
-    one = np.eye(d, dtype=complex)
-
-    def scale(coeff, value):
-        if isinstance(value, np.ndarray):
-            return np.asarray(coeff) @ np.asarray(value, dtype=complex)
-        return complex(value) * coeff
-
-    def absorb(a, b):
-        if isinstance(a, _Leg):
-            return _Leg(a.coeff @ b, a.letter)
-        return _Leg(a @ b.coeff, b.letter)
-
-    def block_value(window):
-        coeff = reduce(operator.matmul, (leg.coeff for leg in window))
-        return scale(coeff, spec.value(tuple(leg.letter for leg in window)))
-
-    def evaluate(pi, word):
-        operands = [_Leg(one, s) for s in word]
-        return nested_eval(pi, block_value, operands, multiply=absorb)
-
-    return evaluate
-
-
 def _block_products(value, word, partitions):
     """(products, den), products[i] / den = prod_{V in partitions[i]} value(word|V).
 
     Each distinct block is read once, all before any product, so a zero factor
     hides no word `value` cannot evaluate.  Rationals go over their common
     denominator L, products[i] = L^(k - |pi|) prod_V L value(word|V) with
-    k = len(word) and den = L^k; floats and complex give the products, den None."""
+    k = len(word) and den = L^k; floats and complex give the products, den None.
+    If any value read is a d x d array, each product is the ordered matrix
+    product of the block values (scalars as complex multiples of I_d), blocks
+    taken by their last position: every block after the blocks nested inside
+    it, siblings left to right, which is the order in which the nested
+    collapse of a non-crossing partition multiplies them."""
     letters = ((None,) + word).__getitem__
     blocks = dict.fromkeys(b for pi in partitions for b in pi.blocks)
     values = {b: value(tuple(map(letters, b))) for b in blocks}
-    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
+    if all(isinstance(v, (int, Fraction)) for v in values.values()):
+        den = math.lcm(*(v.denominator for v in values.values()))
+        values = {b: v.numerator * (den // v.denominator) for b, v in values.items()}
+        scale = [den ** (len(word) - size) for size in range(len(word) + 1)]
+        products = [
+            scale[len(pi.blocks)] * math.prod(map(values.__getitem__, pi.blocks))
+            for pi in partitions
+        ]
+        return products, den ** len(word)
+    matrix = next((v for v in values.values() if isinstance(v, np.ndarray)), None)
+    if matrix is None:
         products = [reduce(operator.mul, map(values.__getitem__, pi.blocks)) for pi in partitions]
         return products, None
-    den = math.lcm(*(v.denominator for v in values.values()))
-    values = {b: v.numerator * (den // v.denominator) for b, v in values.items()}
-    scale = [den ** (len(word) - size) for size in range(len(word) + 1)]
+    one = np.eye(len(matrix), dtype=complex)
+    values = {b: v if isinstance(v, np.ndarray) else complex(v) for b, v in values.items()}
+    last = operator.itemgetter(-1)
     products = [
-        scale[len(pi.blocks)] * math.prod(map(values.__getitem__, pi.blocks)) for pi in partitions
+        reduce(np.dot, map(values.__getitem__, sorted(pi.blocks, key=last)), one)
+        for pi in partitions
     ]
-    return products, den ** len(word)
+    return products, None
 
 
 def _block_sum(value, word, terms):
@@ -246,17 +178,26 @@ def _block_sum(value, word, terms):
 
 
 def _spec_sum(spec, word, admissible):
-    """Sum over a set of NC partitions of the nested block values: plain
-    block products for scalar values, summed in integers over one common
-    denominator by `_block_sum`, and `nested_eval` in M_d for matrices."""
+    """Sum over a set of NC partitions of the nested block values, by
+    `_block_sum`; a word of a matrix spec that reads no matrix value gives
+    its scalar sum times I_d."""
     word = tuple(word)
     if len(word) > spec.k_max:
         raise BoundError(f"degree {len(word)} exceeds k_max={spec.k_max}")
+    total = _block_sum(spec.value, word, zip(admissible, itertools.repeat(1)))
     d = spec.matrix_dim()
-    if d is None:
-        return _block_sum(spec.value, word, zip(admissible, itertools.repeat(1)))
-    evaluate = _leg_evaluator(spec, d)
-    return reduce(operator.add, (evaluate(pi, word) for pi in admissible))
+    if d is None or isinstance(total, np.ndarray):
+        return total
+    return complex(total) * np.eye(d, dtype=complex)
+
+
+def _scalar_moment(total, word):
+    """`total`, a sum or block product of moments of `word`, refusing a d x d
+    array: Moebius inversion over block products does not invert the matrix
+    moment sum."""
+    if isinstance(total, np.ndarray):
+        raise DomainError(f"matrix-valued moments of {word}: cumulants need scalar moments")
+    return total
 
 
 def cumulants_to_moments(spec, word):
@@ -266,12 +207,13 @@ def cumulants_to_moments(spec, word):
 
 def moments_to_cumulants(mf, pi, word):
     """Cumulant function at pi by Moebius inversion over NC(k); a pi that
-    crosses raises DomainError."""
+    crosses, or a matrix-valued moment, raises DomainError."""
     word = tuple(word)
     if len(word) != pi.ground_size:
         raise DimensionError(f"word length {len(word)} differs from ground size {pi.ground_size}")
     nc = enumerate_nc(len(word))
-    return _block_sum(mf.value, word, ((nc[a], mu) for a, mu in _mobius_below(pi)))
+    total = _block_sum(mf.value, word, ((nc[a], mu) for a, mu in _mobius_below(pi)))
+    return _scalar_moment(total, word)
 
 
 def free_iid_moment(spec, letters, labels):
@@ -302,7 +244,8 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
     labels, the cumulant must be at most `tolerance` in absolute value.
     The same rule holds for every value, rational or not: the default 0
     asks for exact vanishing, and a positive tolerance forgives small
-    mixed cumulants of a rational functional too; a negative one raises DomainError.
+    mixed cumulants of a rational functional too; a negative one raises DomainError,
+    as does a matrix-valued moment.
     """
     if tolerance < 0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
@@ -315,6 +258,7 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
             if len(below) == len(ncs):
                 continue  # one family: no mixed cumulant, no moment to read
             products, den = _block_products(mf.value, word, ncs)
+            _scalar_moment(products[0], word)
             for b, pi in enumerate(ncs):
                 if b not in below:
                     total = sum(mu * products[a] for a, mu in _mobius_below(pi))

@@ -8,7 +8,6 @@ which is internally synchronized, so concurrent read-only use is safe.
 """
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BoundError, DimensionError, DomainError
@@ -139,14 +138,6 @@ class SetPartition:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class NonCrossingCertificate:
-    """Witness of non-crossingness: interval blocks removed one at a time."""
-
-    partition: SetPartition
-    peel_order: tuple  # of (block, (lo, hi)) pairs
-
-
 def _require_same_ground(p, q):
     if p.ground_size != q.ground_size:
         raise DimensionError(
@@ -160,18 +151,14 @@ def _check_k(k, k_max=None):
         raise BoundError(f"k={k} outside 1..{limit}")
 
 
-def _peel(p, choose_interval=None):
-    """Remove the blocks of p one at a time, each an interval of the positions
-    still remaining; this is the recursive characterization of NC.
+def is_noncrossing(p):
+    """True iff the blocks of p can be removed one at a time, each an interval
+    of the positions still remaining: the recursive characterization of NC.
 
-    Each round offers the interval blocks in block order and takes the first,
-    unless `choose_interval` picks another of them.  It yields
-    (block, before, after), where before / after are the remaining positions
-    next to the block (None at either end).  If no block is an interval,
-    which happens exactly when p crosses, it yields None and stops.
     Positions are bits of one integer, so the interval test is a mask
     comparison: the remaining positions in [min, max] of a block are the
-    block itself.
+    block itself.  A round with no interval block happens exactly when p
+    crosses.
     """
     masks = {}
     for b in p.blocks:
@@ -181,35 +168,11 @@ def _peel(p, choose_interval=None):
         masks[b] = (own, (2 << b[-1]) - (1 << b[0]))
     alive = (2 << p.ground_size) - 2
     while masks:
-        intervals = [b for b, (own, span) in masks.items() if alive & span == own]
-        if not intervals:
-            yield None
-            return
-        block = intervals[0] if choose_interval is None else choose_interval(intervals)
+        block = next((b for b, (own, span) in masks.items() if alive & span == own), None)
+        if block is None:
+            return False
         alive ^= masks.pop(block)[0]
-        below = alive & ((1 << block[0]) - 1)
-        above = alive >> block[-1]
-        yield (
-            block,
-            below.bit_length() - 1 if below else None,
-            (above & -above).bit_length() - 1 + block[-1] if above else None,
-        )
-
-
-def is_noncrossing(p):
-    """True iff interval blocks can be peeled until none is left."""
-    return all(_peel(p))
-
-
-def noncrossing_certificate(p):
-    """The peel of interval blocks as a replayable witness; None if p crosses."""
-    peel = []
-    for step in _peel(p):
-        if step is None:
-            return None
-        block = step[0]
-        peel.append((block, (block[0], block[-1])))
-    return NonCrossingCertificate(partition=p, peel_order=tuple(peel))
+    return True
 
 
 def _restricted_growth(k, noncrossing):

@@ -3,10 +3,13 @@
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+
+from qperm.errors import DimensionError, DomainError
 
 
 def gauss_jordan_inverse(rows):
@@ -302,6 +305,83 @@ def leq_by_block_lookup(p, q):
     return all(len({where[x] for x in b}) == 1 for b in p.blocks)
 
 
+def interval_peel(pi, choose_interval=None):
+    """Remove the blocks of pi one at a time, each an interval of the positions
+    still remaining, kept as a list: a re-run apart from the bitmask test of
+    `is_noncrossing`.
+
+    Each round offers the interval blocks in block order and takes the first,
+    unless `choose_interval` picks another of them.  It yields
+    (block, before, after), where before / after are the remaining positions
+    next to the block (None at either end).  If no block is an interval,
+    which happens exactly when pi crosses, it yields None and stops."""
+    remaining = list(range(1, pi.ground_size + 1))
+    blocks = list(pi.blocks)
+
+    def span(block):
+        return remaining.index(block[0]), remaining.index(block[-1]) + 1
+
+    while blocks:
+        intervals = [b for b in blocks if tuple(remaining[slice(*span(b))]) == b]
+        if not intervals:
+            yield None
+            return
+        block = intervals[0] if choose_interval is None else choose_interval(intervals)
+        blocks.remove(block)
+        lo, hi = span(block)
+        before = remaining[lo - 1] if lo else None
+        after = remaining[hi] if hi < len(remaining) else None
+        del remaining[lo:hi]
+        yield block, before, after
+
+
+def nested_eval(pi, block_fn, operands, multiply=operator.mul, choose_interval=None):
+    """Collapse interval blocks of a non-crossing partition recursively.
+
+    Each round of `interval_peel` removes one block (the first interval,
+    unless `choose_interval` selects another of the offered intervals),
+    applies `block_fn` to the tuple of current operand values on that block,
+    and multiplies the result onto the preceding remaining operand (onto the
+    following one, from the left, if the block is initial).  The value of
+    the last block is the result.  For balanced block functions the outcome
+    does not depend on the removal order.
+    """
+    ops = list(operands)
+    if len(ops) != pi.ground_size:
+        raise DimensionError(f"{len(ops)} operands for ground size {pi.ground_size}")
+    values = dict(enumerate(ops, start=1))
+    for step in interval_peel(pi, choose_interval):
+        if step is None:
+            raise DomainError(f"partition is not non-crossing: {pi}")
+        block, before, after = step
+        result = block_fn(tuple(values[x] for x in block))
+        if before is not None:
+            values[before] = multiply(values[before], result)
+        elif after is not None:
+            values[after] = multiply(result, values[after])
+        else:
+            return result
+
+
+@dataclass(frozen=True)
+class NonCrossingCertificate:
+    """Witness of non-crossingness: interval blocks removed one at a time."""
+
+    partition: object
+    peel_order: tuple  # of (block, (lo, hi)) pairs
+
+
+def noncrossing_certificate(p):
+    """The `interval_peel` of p as a replayable witness; None if p crosses."""
+    peel = []
+    for step in interval_peel(p):
+        if step is None:
+            return None
+        block = step[0]
+        peel.append((block, (block[0], block[-1])))
+    return NonCrossingCertificate(partition=p, peel_order=tuple(peel))
+
+
 def replay_peel(certificate):
     """True iff the certificate's peel order empties its partition: each
     block, removed in turn, spans exactly the positions still left between
@@ -454,13 +534,13 @@ def block_sum_by_labelling(unitary, pi, j_word):
     return total
 
 
-def two_coefficient_leg_evaluator(spec, d, nested_eval):
+def two_coefficient_leg_evaluator(spec, d):
     """Nested evaluation of a letter word at a partition in M_d, with the
     coefficients absorbed on each leg kept apart: a leg is (left, letter,
     right), an operand on its right multiplies `right`, one on its left
     multiplies `left`, and a block's value is `spec.value` of its letters
-    scaled by one @ left_1 @ right_1 @ left_2 @ right_2 ... over its legs.
-    `nested_eval` is the collapse of `qperm.cumulants`."""
+    scaled by one @ left_1 @ right_1 @ left_2 @ right_2 ... over its legs,
+    collapsed by `nested_eval`."""
     one = np.eye(d, dtype=complex)
 
     def absorb(a, b):
@@ -482,3 +562,19 @@ def two_coefficient_leg_evaluator(spec, d, nested_eval):
         return nested_eval(pi, block_value, operands, multiply=absorb)
 
     return evaluate
+
+
+def state_like_violations(mf, involution, tol=0):
+    """(word, value, expected) for each stored word w of the moment functional
+    whose value is farther than `tol` from expected, the conjugate value of
+    its adjoint word reverse(star(w)), where that word is stored;
+    `involution` maps each symbol to its adjoint symbol."""
+    bad = []
+    for word, val in mf.moments.items():
+        star = tuple(involution[s] for s in reversed(word))
+        if star in mf.moments:
+            other = mf.moments[star]
+            expected = other.conjugate() if hasattr(other, "conjugate") else other
+            if abs(val - expected) > tol:
+                bad.append((word, val, expected))
+    return bad

@@ -12,12 +12,10 @@ from qperm.cumulants import (
     MatrixProbabilitySpace,
     MomentFunctional,
     _block_sum,
-    _leg_evaluator,
     cumulants_to_moments,
     free_iid_moment,
     freeness_check,
     moments_to_cumulants,
-    nested_eval,
 )
 from qperm.acceptance import (
     _crosses_by_definition as crosses_by_definition,
@@ -32,6 +30,8 @@ from _oracles import (
     mobius_inversion,
     nc_block_sum,
     nc_moment_sum,
+    nested_eval,
+    state_like_violations,
     two_coefficient_leg_evaluator,
 )
 
@@ -147,6 +147,25 @@ class TestNestedEval:
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             nested_eval(P("1,2"), lambda w: 1, [1, 2, 3])
+
+    def test_one_coefficient_collapse_is_the_product_by_last_position(self):
+        # free-monoid block values: each block is its own generator and
+        # products concatenate, so no reassociation or cancellation can hide
+        # a change of order; a leg is (coefficient, position), and a block's
+        # value is the product of its legs' coefficients, then the block
+        def absorb(a, b):
+            if isinstance(a, tuple):
+                return (a[0] + b, a[1])
+            return (a + b[0], b[1])
+
+        def block_value(window):
+            return [g for leg in window for g in leg[0]] + [tuple(leg[1] for leg in window)]
+
+        for k in range(1, 9):
+            for pi in enumerate_nc(k):
+                legs = [([], x) for x in range(1, k + 1)]
+                got = nested_eval(pi, block_value, legs, multiply=absorb)
+                assert got == sorted(pi.blocks, key=lambda b: b[-1])
 
 
 class TestCumulantsToMoments:
@@ -539,9 +558,38 @@ class TestMatrixLayer:
         got = free_iid_moment(spec, ("c",) * 4, (1, 2, 1, 2))
         assert np.allclose(got, np.zeros((2, 2)))
 
+    def test_matrix_spec_word_without_matrix_values_is_scalar_times_identity(self):
+        spec = CumulantSpec(
+            ("c", "d"), 4, {("c", "c"): np.eye(2, dtype=complex), ("d",): Fraction(1, 2)}
+        )
+        for got, want in [
+            (cumulants_to_moments(spec, ("d",)), 0.5),
+            (cumulants_to_moments(spec, ("c",)), 0),
+            (free_iid_moment(spec, ("d", "d"), (1, 2)), 0.25),
+        ]:
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == complex and got.shape == (2, 2)
+            assert np.array_equal(got, want * np.eye(2))
+
+    def test_moments_to_cumulants_refuses_matrix_moments(self):
+        # Moebius inversion over block products does not invert the matrix
+        # moment sum: the round trip breaks from k = 2 (elementwise products)
+        # or k = 4 (ordered products)
+        eye = np.eye(2, dtype=complex)
+        mf = MomentFunctional(("a",), 2, {("a",): eye, ("a", "a"): 2 * eye})
+        with pytest.raises(DomainError):
+            moments_to_cumulants(mf, SetPartition.full(2), ("a", "a"))
+
+    def test_freeness_check_refuses_matrix_moments(self):
+        words = [w for s in (1, 2) for w in itertools.product("ab", repeat=s)]
+        mf = MomentFunctional(("a", "b"), 2, {w: np.eye(2, dtype=complex) for w in words})
+        with pytest.raises(DomainError):
+            freeness_check(mf, {"a": 1, "b": 2})
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_coefficient_legs_match_two_coefficient_oracle(self, seed):
-        # one product per leg only reassociates the two-coefficient products
+        # the library's product of block values by last position is the
+        # collapse that keeps each leg's two coefficients apart
         rng = np.random.default_rng(seed)
         d, letters = 3, ("a", "b")
         values = {
@@ -550,8 +598,7 @@ class TestMatrixLayer:
             for word in itertools.product(letters, repeat=s)
         }
         spec = CumulantSpec(alphabet=letters, k_max=6, values=values)
-        got = _leg_evaluator(spec, d)
-        want = two_coefficient_leg_evaluator(spec, d, nested_eval)
+        want = two_coefficient_leg_evaluator(spec, d)
         words = random.Random(seed)
         for k in range(1, 7):
             for _ in range(3):
@@ -559,7 +606,8 @@ class TestMatrixLayer:
                 for pi in enumerate_nc(k):
                     expected = want(pi, word)
                     scale = np.max(np.abs(expected))
-                    assert np.max(np.abs(got(pi, word) - expected)) <= 1e-12 * scale
+                    got = _block_sum(spec.value, word, [(pi, 1)])
+                    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 class TestSerialization:
@@ -589,11 +637,11 @@ class TestSerialization:
                 ("a",): Fraction(0),
                 ("a*",): Fraction(0),
             },
-            involution={"a": "a*", "a*": "a"},
         )
-        assert mf.state_like_violations() == []
+        involution = {"a": "a*", "a*": "a"}
+        assert state_like_violations(mf, involution) == []
         mf.moments[("a*", "a*")] = Fraction(1, 3)
-        assert mf.state_like_violations()
+        assert state_like_violations(mf, involution)
 
     def test_matrix_spec_refuses_json(self):
         spec = CumulantSpec(("c",), 2, {("c", "c"): np.eye(2, dtype=complex)})

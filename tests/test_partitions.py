@@ -22,7 +22,6 @@ from qperm.partitions import (
     meet,
     mobius_nc,
     mobius_nc_chain_count,
-    noncrossing_certificate,
     up_down_interval,
 )
 from qperm.acceptance import (
@@ -35,6 +34,7 @@ from _oracles import (
     kreweras_by_crossing,
     leq_by_block_lookup,
     meet_by_sets,
+    noncrossing_certificate,
     partitions_by_all_function_kernels,
     replay_peel,
 )
