@@ -23,7 +23,7 @@ from .cumulants import (
     freeness_check,
     moments_to_cumulants,
 )
-from .errors import InvariantViolation, QpermError
+from .errors import DomainError, InvariantViolation, QpermError
 from .exchange import (
     DEFAULT_TOL,
     UrnModel,
@@ -331,7 +331,13 @@ def cmd_magic_validate(args):
 def _label_functional_from_json(data, n):
     """MomentFunctional JSON with integer labels 1..n as its alphabet."""
     raw = MomentFunctional.from_json_dict(data)
-    moments = {tuple(int(s) for s in w): v for w, v in raw.moments.items()}
+    moments = {}
+    for word, v in raw.moments.items():
+        try:
+            moments[tuple(map(int, word))] = v
+        except ValueError:
+            text = ",".join(word)
+            raise DomainError(f"moment word {text!r} has a label that is not an integer") from None
     return MomentFunctional(
         alphabet=tuple(range(1, n + 1)), k_max=raw.k_max, moments=moments
     )

@@ -38,6 +38,33 @@ from .partitions import (
 from .weingarten import rational_str
 
 
+def _from_json(data, words_key):
+    """(alphabet, k_max, words) from a JSON object with the keys "alphabet",
+    "k_max" and `words_key`, a map of comma-joined words to rationals;
+    DomainError names a missing key or a value of the wrong kind."""
+    if not isinstance(data, dict):
+        raise DomainError("the JSON input is not an object")
+    try:
+        alphabet, k_max, raw = (data[key] for key in ("alphabet", "k_max", words_key))
+    except KeyError as exc:
+        raise DomainError(f"the JSON input has no {exc.args[0]!r} key") from None
+    if not isinstance(raw, dict):
+        raise DomainError(f"{words_key} {raw!r} is not a JSON object")
+    if not isinstance(alphabet, list):
+        raise DomainError(f"alphabet {alphabet!r} is not a JSON array")
+    try:
+        k_max = int(k_max)
+    except (TypeError, ValueError):
+        raise DomainError(f"k_max {k_max!r} is not an integer") from None
+    words = {}
+    for text, v in raw.items():
+        try:
+            words[tuple(text.split(","))] = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DomainError(f"{words_key} of {text!r}: {v!r} is not a rational") from None
+    return tuple(alphabet), k_max, words
+
+
 @dataclass
 class MomentFunctional:
     """Finitely supported word -> scalar map: a distribution at moment level.
@@ -72,12 +99,8 @@ class MomentFunctional:
 
     @classmethod
     def from_json_dict(cls, data):
-        alphabet = tuple(data["alphabet"])
-        moments = {
-            tuple(key.split(",")): Fraction(v)
-            for key, v in data["moments"].items()
-        }
-        return cls(alphabet=alphabet, k_max=int(data["k_max"]), moments=moments)
+        alphabet, k_max, moments = _from_json(data, "moments")
+        return cls(alphabet=alphabet, k_max=k_max, moments=moments)
 
 
 #: The value of every unset cumulant word.
@@ -124,11 +147,8 @@ class CumulantSpec:
 
     @classmethod
     def from_json_dict(cls, data):
-        values = {
-            tuple(key.split(",")): Fraction(v)
-            for key, v in data["cumulants"].items()
-        }
-        return cls(alphabet=tuple(data["alphabet"]), k_max=int(data["k_max"]), values=values)
+        alphabet, k_max, values = _from_json(data, "cumulants")
+        return cls(alphabet=alphabet, k_max=k_max, values=values)
 
 
 def _block_products(value, word, partitions):
@@ -245,10 +265,13 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
     The same rule holds for every value, rational or not: the default 0
     asks for exact vanishing, and a positive tolerance forgives small
     mixed cumulants of a rational functional too; a negative one raises DomainError,
-    as does a matrix-valued moment.
+    as do a matrix-valued moment and a letter with no family.
     """
     if tolerance < 0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
+    unlabeled = [s for s in mf.alphabet if s not in family_labels]
+    if unlabeled:
+        raise DomainError(f"no family for the letters {unlabeled}")
     degree = mf.k_max if max_degree is None else min(max_degree, mf.k_max)
     violations = []
     for k in range(1, degree + 1):

@@ -513,19 +513,18 @@ def definetti_gap(model, j_word):
     )
 
 
-def cesaro_variance(spec, n, letter="c", star=None):
+def cesaro_variance(spec, n):
     """Squared 2-norm of the Cesaro mean (1/n) sum_i rho_i(c) for a centered
-    free i.i.d. family; equals phi(c*c)/n.  The n^2 terms of the pair-moment
-    double sum read the labels (i1, i2) only through their kernel: n of them
-    are m(1, 1) and n(n - 1) are m(1, 2)."""
+    free i.i.d. family of the letter "c"; equals phi(c*c)/n, with c* the
+    letter "c*" when the alphabet has it and c otherwise.  The n^2 terms of
+    the pair-moment double sum read the labels (i1, i2) only through their
+    kernel: n of them are m(1, 1) and n(n - 1) are m(1, 2)."""
     if n < 1:
         raise BoundError(f"n={n} must be >= 1")
-    if star is None:
-        starred = letter + "*"
-        star = starred if starred in spec.alphabet else letter
-    if spec.value((letter,)) != 0 or spec.value((star,)) != 0:
+    star = "c*" if "c*" in spec.alphabet else "c"
+    if spec.value(("c",)) != 0 or spec.value((star,)) != 0:
         raise DomainError("cesaro_variance requires a centered letter (kappa_1 = 0)")
-    same, distinct = (free_iid_moment(spec, (star, letter), ij) for ij in ((1, 1), (1, 2)))
+    same, distinct = (free_iid_moment(spec, (star, "c"), ij) for ij in ((1, 1), (1, 2)))
     return Fraction(n * same + n * (n - 1) * distinct, n**2)
 
 
@@ -540,10 +539,10 @@ def _label_functional(n, k_max, value):
     return MomentFunctional(alphabet=tuple(range(1, n + 1)), k_max=k_max, moments=moments)
 
 
-def free_iid_functional(spec, n, k_max, letter="c"):
-    """Joint moments of n free copies of one variable, indexed by labels."""
+def free_iid_functional(spec, n, k_max):
+    """Joint moments of n free copies of the letter "c", indexed by labels."""
     return _label_functional(
-        n, k_max, lambda labels: free_iid_moment(spec, (letter,) * len(labels), labels)
+        n, k_max, lambda labels: free_iid_moment(spec, ("c",) * len(labels), labels)
     )
 
 

@@ -29,10 +29,11 @@ NC(k) in the canonical enumeration order and are immutable once built.
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -228,14 +229,19 @@ def _reconstruct(approx, modulus):
     return None
 
 
+def _width(bound):
+    """The integer width for entries below `bound` in absolute value: int64
+    while the bound is at most 2^63, Python integers (object) beyond it."""
+    return np.int64 if bound <= 1 << 63 else object
+
+
 def _gram_times(limbs, x, dtype):
-    """G x in exact integers of `dtype`, int64 or Python ints, for a float64
-    integer matrix |x| < 2^21.  Each limb of G gives one float64 product below
-    2^53; int64 is only asked for where G is one limb."""
-    if dtype == object:
-        return sum((limb @ x).astype(np.int64).astype(object) << shift for shift, limb in limbs)
-    ((_, g),) = limbs
-    return (g @ x).astype(np.int64)
+    """G x in exact integers of `dtype`, for a float64 integer matrix
+    |x| < 2^20.  Each limb of G gives one float64 product below 2^53, cast to
+    `dtype` and shifted in place; as limb(a, b) 2^shift <= G(a, b), every
+    shifted product and every partial sum is at most N max G 2^20."""
+    products = (((limb @ x).astype(np.int64).astype(dtype, copy=False), s) for s, limb in limbs)
+    return reduce(operator.iadd, (np.left_shift(y, s, out=y) for y, s in products))
 
 
 def _lift(inverse, limbs, residue, p):
@@ -253,15 +259,13 @@ def _lift(inverse, limbs, residue, p):
     return digit, quotient
 
 
-def _digits_value(digits, p):
-    """sum_j p^j digits[j] for symmetric digits, as lists of Python ints;
-    in int64 up to three digits, where |sum| < p^3 < 2^63."""
-    wide = len(digits) > 3
-    value = 0
-    for digit in reversed(digits):
-        digit = digit.astype(np.int64)
-        value = value * p + (digit.astype(object) if wide else digit)
-    return value.tolist()
+def _add_digit(value, digit, modulus, p):
+    """(value + modulus digit, modulus p) for a symmetric p-adic digit, in
+    the width of modulus p, which bounds the new sum."""
+    term = digit.astype(np.int64).astype(_width(modulus * p), copy=False)
+    term *= modulus
+    term += value
+    return term, modulus * p
 
 
 def _lift_to_zero(inverse, limbs, row_bound, den, p, max_lifts):
@@ -271,21 +275,18 @@ def _lift_to_zero(inverse, limbs, row_bound, den, p, max_lifts):
     den I is lifted from R = den I until R = 0; as den I = G A + p^m R holds
     exactly after every lift, R = 0 is the identity itself, and it is
     reached exactly when den G^{-1} is an integer matrix: the symmetric
-    digits of A run out after about log_p(2 max|A|) lifts.  |R| stays below
-    max(den, row_bound), with row_bound the largest row sum of G, so
-    |R - G X| < (den + row_bound) 2^21: the residue is int64 while that is
-    below 2^63 and G is one limb, and Python integers otherwise."""
+    digits of A run out after about log_p(2 max|A|) lifts.  As |G X| is
+    below row_bound p / 2, row_bound = N max G, |R| stays at most
+    max(den, row_bound); `_width` reads the residue width off
+    |R - G X| < den + row_bound 2^21, and that of A off p^m."""
     size = len(inverse)
-    if len(limbs) == 1 and (den + row_bound) << 21 < 1 << 63:
-        residue = np.eye(size, dtype=np.int64) * den
-    else:
-        residue = np.eye(size, dtype=object) * den
-    digits = []
+    residue = np.eye(size, dtype=_width(den + (row_bound << 21))) * den
+    value, modulus = np.zeros((size, size), dtype=np.int64), 1
     for lifts in range(1, max_lifts + 1):
         digit, residue = _lift(inverse, limbs, residue, p)
-        digits.append(digit)
+        value, modulus = _add_digit(value, digit, modulus, p)
         if not residue.any():
-            return _digits_value(digits, p), lifts
+            return value.tolist(), lifts
     return None
 
 
@@ -294,17 +295,15 @@ def _padic_inverse(exponents, k, n):
     for G_kn(a, b) = n^{exponents[a][b]}, gathered with numpy.
 
     With C = G^{-1} mod p, each lift takes the next symmetric p-adic digit
-    of G^{-1} (`_lift`), from R = I.  After each lift a sample of G^{-1}
-    mod p^m, row 0 and the diagonal, is reconstructed, and its common
-    denominator D is lifted from D I until the residue is exactly 0
-    (`_lift_to_zero`), which proves G A = D I.  If the residue is still
-    nonzero one lift after as many as the sample took, D is wrong or A is
-    far wider than the sample, and the sample is widened to the whole upper
-    triangle (W is symmetric).  Past the Hadamard bound the reconstruction
-    of the triangle is adj / det itself, so the loop ends there at the
-    latest.  Once N max G 2^21 passes 2^53, G is split into limbs narrow
-    enough for exact float64 products, and the residues are Python
-    integers."""
+    of G^{-1} (`_lift`), from R = I, whose residues are below
+    1 + N max G 2^21 (`_width` sets their width).  Only a sample, row 0 and
+    the diagonal, sums its digits and is reconstructed after each lift; its
+    common denominator D is lifted from D I until the residue is exactly 0
+    (`_lift_to_zero`), which proves G A = D I.  A residue still nonzero one
+    lift after as many as the sample took restarts the lift from I with the
+    whole upper triangle (W is symmetric) as the sample, which past the
+    Hadamard bound reconstructs adj / det itself.  Once N max G 2^21 passes
+    2^53, G is split into limbs narrow enough for exact float64 products."""
     start = time.perf_counter()
     exponents = np.asarray(exponents)
     size = len(exponents)
@@ -330,33 +329,33 @@ def _padic_inverse(exponents, k, n):
         inverse = _inverse_mod(np.array([x % p for x in power], dtype=np.float64)[exponents], p)
         if inverse is None:
             continue
-        residue = np.eye(size, dtype=np.int64 if len(limbs) == 1 else object)
-        digits, where, widened = [], sample, False
-        approx, modulus = [0] * len(where[0]), 1
-        for lifts in range(1, max_lifts + 1):
-            digit, residue = _lift(inverse, limbs, residue, p)
-            digits.append(digit)
-            approx = [a + modulus * x for a, x in zip(approx, digit[where].astype(np.int64).tolist())]
-            modulus *= p
-            den = _reconstruct(approx, modulus)
-            if den is None:
-                continue
-            solved = _lift_to_zero(inverse, limbs, size * top, den, p, lifts + 1)
-            if solved is None:
-                if not widened:
-                    where, widened = np.triu_indices(size), True
-                    approx = _digits_value([d[where] for d in digits], p)
-                continue
-            nums, more = solved
-            common = math.gcd(den, *itertools.chain.from_iterable(nums))
-            if common > 1:
-                nums = [[x // common for x in row] for row in nums]
-                den //= common
-            _debug(
-                __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
-                k, n, size, p, lifts + more, den.bit_length(), time.perf_counter() - start,
-            )
-            return tuple(map(tuple, nums)), den
+        lifts = 0
+        for wide in (False, True):
+            where = np.triu_indices(size) if wide else sample
+            residue = np.eye(size, dtype=_width(1 + (size * top << 21)))
+            approx, modulus = np.zeros(len(where[0]), dtype=np.int64), 1
+            for m in range(1, max_lifts + 1):
+                digit, residue = _lift(inverse, limbs, residue, p)
+                approx, modulus = _add_digit(approx, digit[where], modulus, p)
+                den = _reconstruct(approx.tolist(), modulus)
+                if den is None:
+                    continue
+                solved = _lift_to_zero(inverse, limbs, size * top, den, p, m + 1)
+                if solved is None:
+                    if wide:
+                        continue
+                    break
+                nums, more = solved
+                common = math.gcd(den, *itertools.chain.from_iterable(nums))
+                if common > 1:
+                    nums = [[x // common for x in row] for row in nums]
+                    den //= common
+                _debug(
+                    __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
+                    k, n, size, p, lifts + m + more, den.bit_length(), time.perf_counter() - start,
+                )
+                return tuple(map(tuple, nums)), den
+            lifts += m
         raise InvariantViolation(
             f"k={k}, n={n}: no exact inverse after {max_lifts} lifts, past the Hadamard bound"
         )
@@ -364,11 +363,11 @@ def _padic_inverse(exponents, k, n):
 
 
 #: Largest k for which Weingarten tables are built.  N = Cat(k) rows: 429 at
-#: k = 7, and 1430 at k = 8, where at n = 5 (six cold processes, one BLAS
-#: thread, a shared 2-core host) the join exponents took 1.6-1.9 s, the
-#: inverse 1.8-2.3 s (D of 23 bits, peak RSS 304 MiB) and `check_inverse`
-#: over the 4,140 partitions of P(8) 1.1-1.4 s (it holds; peak RSS 314 MiB).
-#: Whether to raise the cap waits on the same figures over n = 4..12.
+#: k = 7, 1430 at k = 8.  There, over n = 4..12 (one cold process per n, one
+#: BLAS thread, a shared 2-core host, two sweeps), the join exponents took
+#: 1.6-2.2 s, the pair 2.3-4.6 s (D of 13-47 bits, peak RSS 271-304 MiB) and
+#: `check_inverse` over P(8) 1.1-1.6 s (it holds): under 10 s a cell, but the
+#: certificate takes peak RSS to 299-346 MiB, past the 300 MiB the cap needs.
 W_K_MAX = 7
 
 

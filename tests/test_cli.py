@@ -455,6 +455,49 @@ class TestUsageErrors:
         assert main(["magic", "validate", "--perm", "1,2", "--theta", "0.3"]) == 1
 
 
+class TestJsonInputErrors:
+    """Bad JSON input ends in one "error: ..." line naming the bad key or
+    value, with exit code 1 and no report."""
+
+    FREE = {"a": "0", "b": "0", "a,a": "1", "b,b": "1", "a,b": "0", "b,a": "0"}
+
+    @pytest.mark.parametrize(
+        "data, argv, message",
+        [
+            ({"alphabet": ["a"], "k_max": 2},
+             ["cumulants", "convert", "--moments", "@", "--word", "a,a"], "no 'moments' key"),
+            ({"alphabet": ["c"], "k_max": 2, "moments": {"c": "0"}},
+             ["cumulants", "convert", "--spec", "@", "--word", "c,c"], "no 'cumulants' key"),
+            ([1, 2], ["cumulants", "convert", "--moments", "@", "--word", "a"], "not an object"),
+            ({"alphabet": ["a"], "k_max": 2, "moments": ["a"]},
+             ["cumulants", "convert", "--moments", "@", "--word", "a"],
+             "moments ['a'] is not a JSON object"),
+            ({"alphabet": 5, "k_max": 2, "moments": {"a": "0"}},
+             ["cumulants", "convert", "--moments", "@", "--word", "a"],
+             "alphabet 5 is not a JSON array"),
+            ({"alphabet": ["a"], "k_max": 2, "moments": {"a": "0", "a,a": "x"}},
+             ["cumulants", "convert", "--moments", "@", "--word", "a,a"],
+             "'a,a': 'x' is not a rational"),
+            ({"alphabet": ["a", "b"], "k_max": 2, "moments": FREE},
+             ["cumulants", "check-free", "--moments", "@", "--families", "a=1"],
+             "no family for the letters ['b']"),
+            ({"alphabet": ["a", "b"], "k_max": 1, "moments": {"a": "0", "b": "0"}},
+             ["magic", "invariance", "--perm", "2,1", "--moments", "@", "--degree", "1"],
+             "moment word 'a'"),
+        ],
+        ids=["moments-missing", "cumulants-missing", "input-not-object", "moments-not-object",
+             "alphabet-not-array", "value-not-rational",
+             "letter-without-family", "labels-not-integers"],
+    )
+    def test_refused_with_one_error_line(self, capsys, tmp_path, data, argv, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert main([str(path) if arg == "@" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 class TestExperimentConfig:
     def test_validates(self):
         ExperimentConfig(k_max=4, n_range=(4, 8), tolerance=0.0)

@@ -349,23 +349,45 @@ class TestPadicInverse:
         with pytest.raises(BoundError, match="divides det"):
             _weingarten_pair.__wrapped__(2, 4)
 
-    @pytest.mark.parametrize("k,n", [(6, 18), (3, 2**14), (4, 2**20)])
-    def test_lift_in_python_integers(self, monkeypatch, k, n):
-        # N max G 2^21 passes 2^53 from (6, 18) on, so G is split into limbs
-        # and the residue leaves int64 for Python integers; the entries
-        # themselves pass 2^63 at (4, 2^20).  The lifts are the same `_lift`.
-        real, dtypes = MODULE._lift, []
+    @staticmethod
+    def lift_widths(monkeypatch, k, n):
+        """The pair of G_kn built afresh, the residue dtype of every lift, and
+        the most limbs G was split into."""
+        real, dtypes, limb_counts = MODULE._lift, [], []
 
         def spy(inverse, limbs, residue, p):
             dtypes.append(residue.dtype)
+            limb_counts.append(len(limbs))
             return real(inverse, limbs, residue, p)
 
         monkeypatch.setattr(MODULE, "_lift", spy)
-        rows = gram(k, n).entries
-        assert len(rows) * n**k * 2**21 >= 2**53
         pair = _weingarten_pair.__wrapped__(k, n)
-        assert pair == lowest_terms(*adjugate_by_bareiss(rows))
-        assert dtypes and all(d == object for d in dtypes)
+        return pair, set(dtypes), max(limb_counts)
+
+    @pytest.mark.parametrize("k,n", [(6, 18), (6, 28), (7, 11)])
+    def test_wide_g_lifts_in_int64(self, monkeypatch, k, n):
+        # N max G 2^21 passes 2^53, so G is split into limbs, but the shifted
+        # limb sums and the residues stay below D + N max G 2^21 <= 2^63; at
+        # (6, 28) D has 43 bits, so D 2^21 alone would pass 2^63
+        pair, dtypes, limb_count = self.lift_widths(monkeypatch, k, n)
+        assert len(pair[0]) * n**k * 2**21 >= 2**53 and limb_count > 1
+        assert dtypes == {np.dtype(np.int64)}
+        if k == 6:
+            assert pair == lowest_terms(*bareiss(k, n))
+        else:  # Bareiss is too slow at N = 429: both certificates instead
+            assert pair == _weingarten_pair(k, n)
+            assert check_inverse(k, n)
+            assert certificate_by_partition_sums(*pair, n, enumerate_partitions(k), _nc_below)
+
+    @pytest.mark.parametrize("k,n", [(3, 2**14), (4, 2**20)])
+    def test_lift_in_python_integers(self, monkeypatch, k, n):
+        # 1 + N max G 2^21 passes 2^63, so the residue leaves int64 for
+        # Python integers; the entries of G themselves pass 2^63 at (4, 2^20).
+        # The lifts are the same `_lift`.
+        pair, dtypes, _ = self.lift_widths(monkeypatch, k, n)
+        assert 1 + (len(pair[0]) * n**k << 21) > 1 << 63
+        assert pair == lowest_terms(*bareiss(k, n))
+        assert dtypes == {np.dtype(object)}
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_tampered_reconstruction_is_never_returned(self, monkeypatch, delta):
