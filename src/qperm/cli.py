@@ -1,7 +1,11 @@
 """Command-line front end: every subcommand emits one JSON report to stdout
 with the envelope {"command", "config", "results", "pass"}; tabular outputs
 switch to CSV with --csv.  Exit codes: 0 pass, 1 usage error, 2 invariant
-violation.  No environment variables are consulted; flags only."""
+violation.  No environment variables are consulted; flags only.
+
+Each `cmd_*` handler returns (config, results, passed, rows): `rows` are the
+CSV rows of a command that takes --csv, else None.  `main` writes the report
+and names it by its argparse path."""
 
 import argparse
 import csv
@@ -89,68 +93,29 @@ def _load_json(path):
 
 
 def _unitary_from_flags(args):
-    if args.perm and args.theta is not None:
-        raise QpermError("--perm and --theta are mutually exclusive")
-    if args.perm:
+    """The magic unitary of --perm or --theta; argparse requires exactly one."""
+    if args.perm is not None:
         return permutation_magic_unitary(_parse_ints(args.perm))
-    if args.theta is not None:
-        return two_projection_magic_unitary(
-            np.diag([1.0, 0.0]), rotated_projection(args.theta)
-        )
-    raise QpermError("one of --perm or --theta is required")
-
-
-def _emit(command, config, results, passed, csv_rows=None):
-    if csv_rows is not None:
-        # partition texts contain commas, so fields must be quoted properly
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(csv_rows)
-    else:
-        report = {
-            "command": command,
-            "config": config,
-            "results": results,
-            "pass": passed,
-        }
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    return 0 if passed else 2
+    return two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(args.theta))
 
 
 def cmd_partitions_enum(args):
     parts = enumerate_nc(args.k) if args.nc else enumerate_partitions(args.k)
     texts = [p.to_text() for p in parts]
     config = {"k": args.k, "nc": bool(args.nc)}
-    if args.csv:
-        return _emit("partitions enum", config, None, True, csv_rows=[[t] for t in texts])
-    return _emit(
-        "partitions enum",
-        config,
-        {"count": len(texts), "partitions": texts},
-        True,
-    )
+    return config, {"count": len(texts), "partitions": texts}, True, [[t] for t in texts]
 
 
 def cmd_partitions_mobius(args):
     p = SetPartition.from_text(args.p)
     q = SetPartition.from_text(args.q)
-    value = mobius_nc(p, q)
-    return _emit(
-        "partitions mobius",
-        {"p": p.to_text(), "q": q.to_text()},
-        {"mobius": value},
-        True,
-    )
+    return {"p": p.to_text(), "q": q.to_text()}, {"mobius": mobius_nc(p, q)}, True, None
 
 
 def cmd_weingarten_table(args):
-    table = weingarten(args.k, args.n)
-    d = table.to_json_dict()
-    config = {"k": args.k, "n": args.n}
-    if args.csv:
-        rows = [[text] + row for text, row in zip(d["index"], d["matrix"])]
-        return _emit("weingarten table", config, None, True, csv_rows=rows)
-    return _emit("weingarten table", config, d, True)
+    d = weingarten(args.k, args.n).to_json_dict()
+    rows = [[text] + row for text, row in zip(d["index"], d["matrix"])]
+    return {"k": args.k, "n": args.n}, d, True, rows
 
 
 def cmd_weingarten_asym(args):
@@ -161,16 +126,12 @@ def cmd_weingarten_asym(args):
         raise QpermError("--p and --q must be given together")
     if args.p is not None:
         pairs = [(SetPartition.from_text(args.p), SetPartition.from_text(args.q))]
-        include_rows = True
     else:
         nc = enumerate_nc(args.k)
         pairs = [(p, q) for p in nc for q in nc]
-        include_rows = False
     results = []
-    all_bounded = True
     for p, q in pairs:
         report = weingarten_asymptotics(args.k, ns, p, q)
-        all_bounded = all_bounded and report.bounded
         entry = {
             "p": p.to_text(),
             "q": q.to_text(),
@@ -178,18 +139,14 @@ def cmd_weingarten_asym(args):
             "max_abs": rational_str(report.max_abs),
             "bounded": report.bounded,
         }
-        if include_rows:
+        if args.p is not None:  # a single pair reports its sweep too
             entry["rows"] = [
                 {"n": r.n, "w": rational_str(r.value), "scaled": rational_str(r.scaled)}
                 for r in report.rows
             ]
         results.append(entry)
-    if args.csv:
-        rows = [
-            [e["p"], e["q"], e["relation"], e["max_abs"], e["bounded"]] for e in results
-        ]
-        return _emit("weingarten asym", config, None, all_bounded, csv_rows=rows)
-    return _emit("weingarten asym", config, results, all_bounded)
+    rows = [[e["p"], e["q"], e["relation"], e["max_abs"], e["bounded"]] for e in results]
+    return config, results, all(e["bounded"] for e in results), rows
 
 
 def cmd_weingarten_dk(args):
@@ -197,32 +154,18 @@ def cmd_weingarten_dk(args):
     report = dk_value(args.k, range(lo, hi + 1))
     config = {"k": args.k, "n_range": f"{lo}..{hi}"}
     values = [{"n": n, "dk": rational_str(v)} for n, v in report.values]
-    if args.csv:
-        rows = [[v["n"], v["dk"]] for v in values]
-        return _emit("weingarten dk", config, None, True, csv_rows=rows)
-    return _emit(
-        "weingarten dk",
-        config,
-        {"values": values, "max": rational_str(report.max_value)},
-        True,
-    )
+    results = {"values": values, "max": rational_str(report.max_value)}
+    return config, results, True, [[v["n"], v["dk"]] for v in values]
 
 
 def cmd_haar_moment(args):
     i = _parse_ints(args.i)
     j = _parse_ints(args.j)
     value = haar_moment(args.n, i, j)
-    return _emit(
-        "haar moment",
-        {"n": args.n, "i": list(i), "j": list(j)},
-        {"value": rational_str(value)},
-        True,
-    )
+    return {"n": args.n, "i": list(i), "j": list(j)}, {"value": rational_str(value)}, True, None
 
 
 def cmd_cumulants_convert(args):
-    if (args.spec is None) == (args.moments is None):
-        raise QpermError("exactly one of --spec or --moments is required")
     word = tuple(args.word.split(","))
     if args.spec is not None:
         spec = CumulantSpec.from_json_dict(_load_json(args.spec))
@@ -232,16 +175,12 @@ def cmd_cumulants_convert(args):
         config = {"spec": args.spec}
     else:
         mf = MomentFunctional.from_json_dict(_load_json(args.moments))
-        pi = (
-            SetPartition.from_text(args.pi)
-            if args.pi
-            else SetPartition.full(len(word))
-        )
+        pi = SetPartition.from_text(args.pi) if args.pi else SetPartition.full(len(word))
         value = moments_to_cumulants(mf, pi, word)
         results = {"direction": "moments-to-cumulants", "word": list(word),
                    "pi": pi.to_text(), "value": rational_str(value)}
         config = {"moments": args.moments}
-    return _emit("cumulants convert", config, results, True)
+    return config, results, True, None
 
 
 def cmd_cumulants_free_moment(args):
@@ -249,12 +188,8 @@ def cmd_cumulants_free_moment(args):
     letters = tuple(args.letters.split(","))
     labels = _parse_ints(args.labels)
     value = free_iid_moment(spec, letters, labels)
-    return _emit(
-        "cumulants free-moment",
-        {"spec": args.spec, "letters": list(letters), "labels": list(labels)},
-        {"value": rational_str(value)},
-        True,
-    )
+    config = {"spec": args.spec, "letters": list(letters), "labels": list(labels)}
+    return config, {"value": rational_str(value)}, True, None
 
 
 def cmd_cumulants_check_free(args):
@@ -272,60 +207,44 @@ def cmd_cumulants_check_free(args):
             for pi, word, value in verdict.violations[:50]
         ],
     }
-    return _emit(
-        "cumulants check-free",
-        {"moments": args.moments, "families": families, "kmax": args.kmax},
-        results,
-        verdict.free,
-    )
+    config = {"moments": args.moments, "families": families, "kmax": args.kmax}
+    return config, results, verdict.free, None
 
 
-def _urn_from_args(args):
-    lam = _parse_rationals(args.lam)
-    return UrnModel(n=args.n, lam=lam)
+def _urn_args(args):
+    """(model, j, config) of an `urn` subcommand's --n, --lam and --j."""
+    model = UrnModel(n=args.n, lam=_parse_rationals(args.lam))
+    j = _parse_ints(args.j)
+    return model, j, {"n": args.n, "lam": [rational_str(x) for x in model.lam], "j": list(j)}
 
 
 def cmd_urn_moment(moment, args):
     """`urn quantum` and `urn classical`: the urn moment that `moment` computes."""
-    model = _urn_from_args(args)
-    j = _parse_ints(args.j)
-    value = moment(model, j)
-    return _emit(
-        f"urn {args.subcommand}",
-        {"n": args.n, "lam": [rational_str(x) for x in model.lam], "j": list(j)},
-        {"value": rational_str(value)},
-        True,
-    )
+    model, j, config = _urn_args(args)
+    return config, {"value": rational_str(moment(model, j))}, True, None
 
 
 def cmd_urn_gap(args):
-    model = _urn_from_args(args)
-    j = _parse_ints(args.j)
-    config = {"n": args.n, "lam": [rational_str(x) for x in model.lam], "j": list(j)}
+    model, j, config = _urn_args(args)
     try:
         report = definetti_gap(model, j)
     except InvariantViolation as exc:
-        return _emit("urn gap", config, {"error": str(exc)}, False)
+        return config, {"error": str(exc)}, False, None
     results = {
         "urn": rational_str(report.urn_moment),
         "free": rational_str(report.free_moment),
         "gap": rational_str(report.gap),
         "bound": rational_str(report.bound),
     }
-    return _emit("urn gap", config, results, True)
+    return config, results, True, None
 
 
 def cmd_magic_validate(args):
     unitary = _unitary_from_flags(args)
     violations = unitary.violations(tol=args.tol)
-    results = {
-        "n": unitary.n,
-        "d": unitary.d,
-        "exact": unitary.exact,
-        "violations": violations,
-    }
+    results = {"n": unitary.n, "d": unitary.d, "exact": unitary.exact, "violations": violations}
     config = {"perm": args.perm, "theta": args.theta, "tol": args.tol}
-    return _emit("magic validate", config, results, not violations)
+    return config, results, not violations, None
 
 
 def _label_functional_from_json(data, n):
@@ -355,14 +274,9 @@ def cmd_magic_invariance(args):
         "degree": report.degree,
         "tolerance": report.tolerance,
     }
-    config = {
-        "perm": args.perm,
-        "theta": args.theta,
-        "moments": args.moments,
-        "degree": args.degree,
-        "tol": args.tol,
-    }
-    return _emit("magic invariance", config, results, report.passed)
+    config = {"perm": args.perm, "theta": args.theta, "moments": args.moments,
+              "degree": args.degree, "tol": args.tol}
+    return config, results, report.passed, None
 
 
 def _recording_builds(run, *args):
@@ -427,16 +341,9 @@ def cmd_reproduce_all(args):
     else:
         results = acceptance.run_all(config_obj)
     config = {**asdict(config_obj), "n_range": f"{lo}..{hi}"}
-    all_pass = all(r.passed for r in results)
-    if args.csv:
-        rows = [
-            [r.number, r.name, "PASS" if r.passed else "FAIL", r.observed]
-            for r in results
-        ]
-        return _emit("reproduce-all", config, None, all_pass, csv_rows=rows)
-    return _emit(
-        "reproduce-all", config, [r.to_json_dict() for r in results], all_pass
-    )
+    rows = [[r.number, r.name, "PASS" if r.passed else "FAIL", r.observed] for r in results]
+    passed = all(r.passed for r in results)
+    return config, [r.to_json_dict() for r in results], passed, rows
 
 
 def build_parser():
@@ -490,8 +397,9 @@ def build_parser():
     p_cum = sub.add_parser("cumulants", help="moment-cumulant transforms")
     cum_sub = p_cum.add_subparsers(dest="subcommand", required=True)
     c_conv = cum_sub.add_parser("convert")
-    c_conv.add_argument("--spec", help="CumulantSpec JSON file (or -)")
-    c_conv.add_argument("--moments", help="MomentFunctional JSON file (or -)")
+    c_input = c_conv.add_mutually_exclusive_group(required=True)
+    c_input.add_argument("--spec", help="CumulantSpec JSON file (or -)")
+    c_input.add_argument("--moments", help="MomentFunctional JSON file (or -)")
     c_conv.add_argument("--word", required=True, help="comma-separated letters")
     c_conv.add_argument("--pi", help="target partition for moments-to-cumulants")
     c_conv.set_defaults(handler=cmd_cumulants_convert)
@@ -523,13 +431,15 @@ def build_parser():
     p_magic = sub.add_parser("magic", help="magic unitary validation and invariance")
     magic_sub = p_magic.add_subparsers(dest="subcommand", required=True)
     m_val = magic_sub.add_parser("validate")
-    m_val.add_argument("--perm", help="comma-separated images, e.g. 2,1,3")
-    m_val.add_argument("--theta", type=float, help="two-projection angle")
+    m_val_unitary = m_val.add_mutually_exclusive_group(required=True)
+    m_val_unitary.add_argument("--perm", help="comma-separated images, e.g. 2,1,3")
+    m_val_unitary.add_argument("--theta", type=float, help="two-projection angle")
     m_val.add_argument("--tol", type=float, default=DEFAULT_TOL)
     m_val.set_defaults(handler=cmd_magic_validate)
     m_inv = magic_sub.add_parser("invariance")
-    m_inv.add_argument("--perm")
-    m_inv.add_argument("--theta", type=float)
+    m_inv_unitary = m_inv.add_mutually_exclusive_group(required=True)
+    m_inv_unitary.add_argument("--perm")
+    m_inv_unitary.add_argument("--theta", type=float)
     m_inv.add_argument("--moments", required=True, help="label-indexed MomentFunctional JSON")
     m_inv.add_argument("--degree", type=int, required=True)
     m_inv.add_argument("--tol", type=float)
@@ -559,14 +469,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    options = vars(args)
     try:
-        return args.handler(args)
-    except QpermError as exc:
+        config, results, passed, rows = args.handler(args)
+        if options.get("csv"):
+            # partition texts contain commas, so fields must be quoted properly
+            csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        else:
+            command = " ".join(filter(None, (args.command, options.get("subcommand"))))
+            report = {"command": command, "config": config, "results": results, "pass": passed}
+            json.dump(report, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+    except (QpermError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -454,6 +455,83 @@ class TestUsageErrors:
     def test_conflicting_unitary_flags(self, capsys):
         assert main(["magic", "validate", "--perm", "1,2", "--theta", "0.3"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["magic", "validate", "--perm", "2,1", "--theta", "0.3"], ("--perm", "--theta")),
+            (["magic", "validate"], ("--perm", "--theta")),
+            (["cumulants", "convert", "--spec", "S", "--moments", "M", "--word", "c"],
+             ("--spec", "--moments")),
+            (["cumulants", "convert", "--word", "c"], ("--spec", "--moments")),
+        ],
+        ids=["unitary-both", "unitary-neither", "input-both", "input-neither"],
+    )
+    def test_flag_conflicts_name_both_flags(self, capsys, argv, flags):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in flags), captured.err
+
+    def test_empty_permutation_is_one_error_line(self, capsys):
+        # an empty --perm is given, so it is parsed, not taken for a missing flag
+        assert main(["magic", "validate", "--perm", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _command_paths(parser, path=()):
+    """The argparse path of every subcommand below `parser`."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [" ".join(path)]
+    return [
+        command
+        for name, sub in subparsers[0].choices.items()
+        for command in _command_paths(sub, (*path, name))
+    ]
+
+
+class TestCommandField:
+    """The JSON report's "command" is the argparse path of the subcommand."""
+
+    ARGV = {
+        "partitions enum": ["--k", "3"],
+        "partitions mobius": ["--p", "1|2", "--q", "1,2"],
+        "weingarten table": ["--k", "2", "--n", "4"],
+        "weingarten asym": ["--k", "2", "--n-range", "4..5"],
+        "weingarten dk": ["--k", "2", "--n-range", "4..5"],
+        "haar moment": ["--n", "4", "--i", "1", "--j", "2"],
+        "cumulants convert": ["--spec", str(GOLDEN / "spec.json"), "--word", "c,c"],
+        "cumulants free-moment": [
+            "--spec", str(GOLDEN / "spec.json"), "--letters", "c,c", "--labels", "1,1",
+        ],
+        "cumulants check-free": [
+            "--moments", str(GOLDEN / "tensor.json"), "--families", "a=1,b=2",
+        ],
+        "urn quantum": ["--n", "4", "--lam", "1,0,0,0", "--j", "1,1"],
+        "urn classical": ["--n", "4", "--lam", "1,0,0,0", "--j", "1,1"],
+        "urn gap": ["--n", "4", "--lam", "1,0,0,0", "--j", "1,1"],
+        "magic validate": ["--perm", "2,1"],
+        "magic invariance": [
+            "--perm", "2,1,4,3", "--moments", str(GOLDEN / "labels.json"), "--degree", "2",
+        ],
+        "reproduce-all": ["--k-max", "2", "--n-range", "4..4"],
+    }
+
+    def test_every_subcommand_is_covered(self):
+        assert sorted(_command_paths(build_parser())) == sorted(self.ARGV)
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_command_is_the_argparse_path(self, capsys, command):
+        code, report = run_json(capsys, *command.split(), *self.ARGV[command])
+        assert code in (0, 2)
+        assert report["command"] == command
+
 
 class TestJsonInputErrors:
     """Bad JSON input ends in one "error: ..." line naming the bad key or
@@ -518,17 +596,30 @@ class TestExperimentConfig:
 
 
 class TestReadme:
-    def test_every_documented_command_parses(self):
-        # keeps removed flags and subcommands out of the documentation
+    @staticmethod
+    def documented_commands():
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        lines = [
+        return [
             line
             for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
             for line in block.splitlines()
             if line.startswith("qperm ")
         ]
+
+    def test_every_documented_command_parses(self):
+        # keeps removed flags and subcommands out of the documentation
+        lines = self.documented_commands()
         assert len(lines) >= 14
         parser = build_parser()
         for line in lines:
             args = parser.parse_args(shlex.split(line, comments=True)[1:])
             assert callable(args.handler), line
+
+    def test_every_documented_command_runs(self, capsys, monkeypatch):
+        # the input files the examples name are the ones in tests/golden/
+        monkeypatch.chdir(GOLDEN)
+        for line in self.documented_commands():
+            code = main(shlex.split(line, comments=True)[1:])
+            captured = capsys.readouterr()
+            assert code in (0, 2), (line, captured.err)
+            assert captured.out and captured.err == "", line
