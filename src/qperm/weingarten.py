@@ -123,11 +123,24 @@ def gram(k, n):
     return NCTable(k=k, n=n, index=_all_nc(k), entries=rows)
 
 
-#: Word primes for the p-adic inverse, tried in turn until one does not divide
-#: det G_kn.  Each is below 2^21, so for N < 2048 rows (N = 429 at W_K_MAX) a
-#: product of two residue matrices has entries below N p^2 < 2^53 and is
-#: exact in float64.
-_PRIMES = (2097143, 2097133, 2097131, 2097097)
+@lru_cache(maxsize=None)
+def _word_primes(count):
+    """The `count` largest primes below 2^21, in descending order, found by
+    trial division on first use."""
+    primes = []
+    candidate = (1 << 21) - 1
+    while len(primes) < count:
+        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
+            primes.append(candidate)
+        candidate -= 2
+    return tuple(primes)
+
+
+#: Word primes for the p-adic inverse, the four largest below 2^21, tried in
+#: turn until one does not divide det G_kn.  As each is below 2^21, for
+#: N < 2048 rows (N = 429 at W_K_MAX) a product of two residue matrices has
+#: entries below N p^2 < 2^53 and is exact in float64.
+_PRIMES = _word_primes(4)
 
 #: Blocks of at most this many rows are inverted mod p by Gauss-Jordan on
 #: Python integers; larger ones are split in two (see `_inverse_mod`).
@@ -415,19 +428,6 @@ def _incidence(k):
     incidence = ((below & ~above[:, None]) == 0).astype(np.float64)
     incidence.flags.writeable = False
     return incidence, np.array([tau.block_count() for tau in partitions])
-
-
-@lru_cache(maxsize=None)
-def _word_primes(count):
-    """The `count` largest primes below 2^21, in descending order, found by
-    trial division on first use."""
-    primes = []
-    candidate = (1 << 21) - 1
-    while len(primes) < count:
-        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
-            primes.append(candidate)
-        candidate -= 2
-    return tuple(primes)
 
 
 def check_inverse(k, n):
