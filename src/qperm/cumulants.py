@@ -21,9 +21,11 @@ moments are refused by the inversion and the freeness test.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .partitions import (
     _all_nc,
     _mobius_below,
     _nc_below,
-    enumerate_nc,
+    _nc_positions,
     kernel,
 )
 from .weingarten import rational_str
@@ -107,7 +109,7 @@ class MomentFunctional:
 _ZERO = Fraction(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CumulantSpec:
     """Free cumulants by (block size, letter word); unset words are zero.
 
@@ -115,11 +117,21 @@ class CumulantSpec:
     partition then contributes the product of its block values taken in the
     order of each block's last position (scalars as multiples of I_d), and a
     word that reads no matrix value gives its scalar moment times I_d.
+
+    A spec is read-only: `values` is held as a read-only copy of the map it
+    is given, so the matrix dimension is read once, when the spec is made.
     """
 
     alphabet: tuple
     k_max: int
-    values: dict
+    values: Mapping
+    _dim: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = MappingProxyType(dict(self.values))
+        object.__setattr__(self, "values", values)
+        dim = next((v.shape[0] for v in values.values() if isinstance(v, np.ndarray)), None)
+        object.__setattr__(self, "_dim", dim)
 
     def value(self, word):
         word = tuple(word)
@@ -128,10 +140,7 @@ class CumulantSpec:
         return self.values.get(word, _ZERO)
 
     def matrix_dim(self):
-        for v in self.values.values():
-            if isinstance(v, np.ndarray):
-                return v.shape[0]
-        return None
+        return self._dim
 
     def to_json_dict(self):
         if self.matrix_dim() is not None:
@@ -151,60 +160,69 @@ class CumulantSpec:
         return cls(alphabet=alphabet, k_max=k_max, values=values)
 
 
-def _block_products(value, word, partitions):
-    """(products, den), products[i] / den = prod_{V in partitions[i]} value(word|V).
+@lru_cache(maxsize=None)
+def _block_plan(k, positions):
+    """(blocks, plan) for the partitions at `positions` in NC(k): the distinct
+    blocks, as tuples of 0-based positions in order of first use, and for
+    each partition the indices into `blocks` of its blocks, in canonical
+    block order."""
+    nc = _all_nc(k)
+    index = {}
+    plan = tuple(tuple(index.setdefault(b, len(index)) for b in nc[a].blocks) for a in positions)
+    return tuple(tuple(x - 1 for x in b) for b in index), plan
+
+
+def _block_products(value, word, positions):
+    """(products, den), products[i] / den = prod_{V in pi_i} value(word|V)
+    for pi_i the partition at positions[i] in NC(k), k = len(word).
 
     Each distinct block is read once, all before any product, so a zero factor
     hides no word `value` cannot evaluate.  Rationals go over their common
-    denominator L, products[i] = L^(k - |pi|) prod_V L value(word|V) with
-    k = len(word) and den = L^k; floats and complex give the products, den None.
+    denominator L, products[i] = L^(k - |pi_i|) prod_V L value(word|V) and
+    den = L^k; floats and complex give the products, den None.
     If any value read is a d x d array, each product is the ordered matrix
     product of the block values (scalars as complex multiples of I_d), blocks
     taken by their last position: every block after the blocks nested inside
     it, siblings left to right, which is the order in which the nested
     collapse of a non-crossing partition multiplies them."""
-    letters = ((None,) + word).__getitem__
-    blocks = dict.fromkeys(b for pi in partitions for b in pi.blocks)
-    values = {b: value(tuple(map(letters, b))) for b in blocks}
-    if all(isinstance(v, (int, Fraction)) for v in values.values()):
-        den = math.lcm(*(v.denominator for v in values.values()))
-        values = {b: v.numerator * (den // v.denominator) for b, v in values.items()}
+    blocks, plan = _block_plan(len(word), positions)
+    letters = word.__getitem__
+    values = [value(tuple(map(letters, b))) for b in blocks]
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        den = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
         scale = [den ** (len(word) - size) for size in range(len(word) + 1)]
-        products = [
-            scale[len(pi.blocks)] * math.prod(map(values.__getitem__, pi.blocks))
-            for pi in partitions
-        ]
+        products = [scale[len(own)] * math.prod(map(values.__getitem__, own)) for own in plan]
         return products, den ** len(word)
-    matrix = next((v for v in values.values() if isinstance(v, np.ndarray)), None)
+    matrix = next((v for v in values if isinstance(v, np.ndarray)), None)
     if matrix is None:
-        products = [reduce(operator.mul, map(values.__getitem__, pi.blocks)) for pi in partitions]
+        products = [reduce(operator.mul, map(values.__getitem__, own)) for own in plan]
         return products, None
     one = np.eye(len(matrix), dtype=complex)
-    values = {b: v if isinstance(v, np.ndarray) else complex(v) for b, v in values.items()}
-    last = operator.itemgetter(-1)
+    values = [v if isinstance(v, np.ndarray) else complex(v) for v in values]
+    last = [b[-1] for b in blocks]
     products = [
-        reduce(np.dot, map(values.__getitem__, sorted(pi.blocks, key=last)), one)
-        for pi in partitions
+        reduce(np.dot, map(values.__getitem__, sorted(own, key=last.__getitem__)), one)
+        for own in plan
     ]
     return products, None
 
 
-def _block_sum(value, word, terms):
-    """sum over (pi, c) in terms of c * prod_{V in pi} value(word|V), by `_block_products`."""
-    partitions, coeffs = zip(*terms)
-    products, den = _block_products(value, word, partitions)
-    total = sum(map(operator.mul, coeffs, products))
+def _block_sum(value, word, positions, coeffs=None):
+    """sum over i of coeffs[i] * prod_{V in pi_i} value(word|V), coefficients
+    1 when `coeffs` is None, by `_block_products`."""
+    products, den = _block_products(value, word, positions)
+    total = sum(products) if coeffs is None else sum(map(operator.mul, coeffs, products))
     return total if den is None else Fraction(total, den)
 
 
-def _spec_sum(spec, word, admissible):
-    """Sum over a set of NC partitions of the nested block values, by
-    `_block_sum`; a word of a matrix spec that reads no matrix value gives
-    its scalar sum times I_d."""
-    word = tuple(word)
+def _spec_sum(spec, word, positions):
+    """Sum over the partitions at `positions` in NC(k) of the nested block
+    values, by `_block_sum`; a word of a matrix spec that reads no matrix
+    value gives its scalar sum times I_d."""
     if len(word) > spec.k_max:
         raise BoundError(f"degree {len(word)} exceeds k_max={spec.k_max}")
-    total = _block_sum(spec.value, word, zip(admissible, itertools.repeat(1)))
+    total = _block_sum(spec.value, word, positions)
     d = spec.matrix_dim()
     if d is None or isinstance(total, np.ndarray):
         return total
@@ -222,7 +240,8 @@ def _scalar_moment(total, word):
 
 def cumulants_to_moments(spec, word):
     """Moment of a word from its free cumulants: sum over all of NC(k)."""
-    return _spec_sum(spec, word, enumerate_nc(len(tuple(word))))
+    word = tuple(word)
+    return _spec_sum(spec, word, _nc_positions(len(word)))
 
 
 def moments_to_cumulants(mf, pi, word):
@@ -231,8 +250,7 @@ def moments_to_cumulants(mf, pi, word):
     word = tuple(word)
     if len(word) != pi.ground_size:
         raise DimensionError(f"word length {len(word)} differs from ground size {pi.ground_size}")
-    nc = enumerate_nc(len(word))
-    total = _block_sum(mf.value, word, ((nc[a], mu) for a, mu in _mobius_below(pi)))
+    total = _block_sum(mf.value, word, *_mobius_below(pi))
     return _scalar_moment(total, word)
 
 
@@ -243,9 +261,7 @@ def free_iid_moment(spec, letters, labels):
     labels = tuple(labels)
     if len(letters) != len(labels):
         raise DimensionError(f"{len(letters)} letters vs {len(labels)} labels")
-    below = _nc_below(kernel(labels))
-    nc = _all_nc(len(labels))
-    return _spec_sum(spec, letters, [nc[a] for a in below])
+    return _spec_sum(spec, letters, _nc_below(kernel(labels)))
 
 
 @dataclass(frozen=True)
@@ -265,26 +281,32 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
     The same rule holds for every value, rational or not: the default 0
     asks for exact vanishing, and a positive tolerance forgives small
     mixed cumulants of a rational functional too; a negative one raises DomainError,
-    as do a matrix-valued moment and a letter with no family.
+    as do a matrix-valued moment, a letter with no family and a family for
+    a letter outside the alphabet.
     """
     if tolerance < 0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     unlabeled = [s for s in mf.alphabet if s not in family_labels]
     if unlabeled:
         raise DomainError(f"no family for the letters {unlabeled}")
+    extra = [s for s in family_labels if s not in mf.alphabet]
+    if extra:
+        raise DomainError(f"families for the letters {extra}, which are not in the alphabet")
     degree = mf.k_max if max_degree is None else min(max_degree, mf.k_max)
     violations = []
     for k in range(1, degree + 1):
-        ncs = enumerate_nc(k)
+        positions = _nc_positions(k)
+        ncs = _all_nc(k)
         for word in itertools.product(mf.alphabet, repeat=k):
             below = set(_nc_below(kernel(tuple(family_labels[s] for s in word))))
             if len(below) == len(ncs):
                 continue  # one family: no mixed cumulant, no moment to read
-            products, den = _block_products(mf.value, word, ncs)
+            products, den = _block_products(mf.value, word, positions)
             _scalar_moment(products[0], word)
             for b, pi in enumerate(ncs):
                 if b not in below:
-                    total = sum(mu * products[a] for a, mu in _mobius_below(pi))
+                    own, mus = _mobius_below(pi)
+                    total = sum(mu * products[a] for a, mu in zip(own, mus))
                     value = total if den is None else Fraction(total, den)
                     if abs(value) > tolerance:
                         violations.append((pi, word, value))

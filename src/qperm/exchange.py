@@ -37,7 +37,7 @@ from .partitions import (
     SetPartition,
     _check_k,
     _debug,
-    _mobius_row,
+    _mobius_column,
     _nc_below,
     enumerate_nc,
     enumerate_partitions,
@@ -417,10 +417,10 @@ def _free_vector(model, k):
     kappa_q = sum_{p <= q} mu(p, q) m(p) is f(q) / den with
     f(q) = sum_p mu(p, q) w(p) n^{k - |p|} and den = D^k n^k."""
     scale, weights = _nc_weights(model, k)
-    rows = [_mobius_row(k, a) for a in range(len(weights))]
+    columns = [_mobius_column(k, b) for b in range(len(weights))]
     start = time.perf_counter()
     coeffs = [w * model.n ** (k - p.block_count()) for p, w in zip(enumerate_nc(k), weights)]
-    vector = tuple(sum(map(mul, coeffs, column)) for column in zip(*rows))
+    vector = tuple(sum(map(mul, coeffs, column)) for column in columns)
     _debug(
         __name__, "free vector k=%d n=%d N=%d seconds=%.4f",
         k, model.n, len(vector), time.perf_counter() - start,

@@ -7,8 +7,11 @@ All operations are pure; memoization goes through `functools.lru_cache`,
 which is internally synchronized, so concurrent read-only use is safe.
 """
 
+import sys
 import time
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import BoundError, DimensionError, DomainError
 
@@ -299,11 +302,20 @@ def _debug(module, message, *args):
     """One `logging` debug record of a table build, on the logger of `module`.
 
     `message` starts with the kind of build and " k=", and the build's
-    seconds are the last of `args`: `reproduce-all --timings` sums them."""
-    # imported here, so that `import qperm` does not pay for the logging package
-    import logging
-
+    seconds are the last of `args`: `reproduce-all --timings` sums them.
+    Nothing is recorded while the logging package is not imported: no
+    handler or level can have been set then, and importing it would cost
+    the first table build a few milliseconds."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
     logging.getLogger(module).debug(message, *args, stacklevel=2)
+
+
+def _packed_rows(matrix):
+    """Each row of a boolean matrix as a Python int, bit j for column j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 @lru_cache(maxsize=None)
@@ -317,15 +329,12 @@ def _nc_order_data(k):
     start = time.perf_counter()
     nc = _all_nc(k)
     pos = {p: i for i, p in enumerate(nc)}
-    pairs = [p.pairs for p in nc]
-    up, down = [0] * len(nc), [0] * len(nc)
-    for i, own in enumerate(pairs):
-        for j in range(i, len(pairs)):
-            if not own & ~pairs[j]:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    # p <= q iff the same-block pairs of p are pairs of q: k^2 <= 64 bits
+    pairs = np.array([p.pairs for p in nc], dtype=np.uint64)
+    order = (pairs[:, None] & ~pairs[None, :]) == 0
+    up, down = _packed_rows(order), _packed_rows(order.T)
     _debug(__name__, "NC order k=%d N=%d seconds=%.4f", k, len(nc), time.perf_counter() - start)
-    return nc, pos, tuple(up), tuple(down)
+    return nc, pos, up, down
 
 
 @lru_cache(maxsize=None)
@@ -337,28 +346,36 @@ def _nc_below(ker):
 
 
 @lru_cache(maxsize=None)
-def _mobius_row(k, a):
-    """mu_k(nc[a], nc[b]) for all b, computed by the defining recursion
-    sum_{p <= t <= q} mu(p, t) = [p == q], walking the up-set of nc[a]
-    from finer to coarser (the enumeration order)."""
+def _nc_positions(k):
+    """Every position in NC(k): the positions below 1_k, built once per k;
+    k outside 1..K_MAX raises BoundError."""
+    _check_k(k)
+    return _nc_below(SetPartition.full(k))
+
+
+@lru_cache(maxsize=None)
+def _mobius_column(k, b):
+    """mu_k(nc[a], nc[b]) for all a, computed by the right-hand recursion
+    sum_{p <= t <= q} mu(t, q) = [p == q], walking the down-set of nc[b]
+    from coarser to finer (against the enumeration order)."""
     nc, _, up, down = _nc_order_data(k)
     start = time.perf_counter()
-    row = [0] * len(nc)
-    row[a] = 1
-    mask = up[a]
-    for b in range(a + 1, len(nc)):
-        if not (mask >> b) & 1:
+    column = [0] * len(nc)
+    column[b] = 1
+    mask = down[b]
+    for a in range(b - 1, -1, -1):
+        if not (mask >> a) & 1:
             continue
         s = 0
-        bit = mask & down[b]
+        bit = up[a] & mask
         while bit:
             t = (bit & -bit).bit_length() - 1
-            if t != b:
-                s += row[t]
+            if t != a:
+                s += column[t]
             bit &= bit - 1
-        row[b] = -s
-    _debug(__name__, "mobius row k=%d a=%d seconds=%.4f", k, a, time.perf_counter() - start)
-    return tuple(row)
+        column[a] = -s
+    _debug(__name__, "mobius column k=%d b=%d seconds=%.4f", k, b, time.perf_counter() - start)
+    return tuple(column)
 
 
 def up_down_interval(k, a, b):
@@ -378,25 +395,24 @@ def _nc_index(k, p):
         raise DomainError(f"{p} is not in NC({k})") from None
 
 
+@lru_cache(maxsize=None)
 def _mobius_below(pi):
-    """(a, mu(nc[a], pi)) for every nc[a] of NC(k) below pi, in enumeration
-    order; a pi that crosses raises DomainError."""
+    """(positions, mus): the positions in NC(k) of the partitions below pi,
+    as `_nc_below` gives them, and mu(nc[a], pi) for each position a, read
+    from one Moebius column; a pi that crosses raises DomainError."""
     k = pi.ground_size
-    b = _nc_index(k, pi)
-    bits = _nc_order_data(k)[3][b]
-    while bits:
-        a = (bits & -bits).bit_length() - 1
-        yield a, _mobius_row(k, a)[b]
-        bits &= bits - 1
+    column = _mobius_column(k, _nc_index(k, pi))
+    below = _nc_below(pi)
+    return below, tuple(column[a] for a in below)
 
 
 def mobius_nc(p, q):
-    """Moebius function of the lattice NC(k), by memoized recursion; a row
-    is 0 outside the up-set of p."""
+    """Moebius function of the lattice NC(k), by memoized recursion; a column
+    is 0 outside the down-set of q."""
     _require_same_ground(p, q)
     k = p.ground_size
     a, b = _nc_index(k, p), _nc_index(k, q)
-    return _mobius_row(k, a)[b]
+    return _mobius_column(k, b)[a]
 
 
 def mobius_nc_chain_count(p, q):

@@ -46,7 +46,7 @@ from .partitions import (
     _check_k,
     _debug,
     _join_masks,
-    _mobius_row,
+    _mobius_column,
     _nc_below,
     _nc_index,
     enumerate_nc,
@@ -563,7 +563,7 @@ def weingarten_asymptotics(k, n_range, p, q):
     cells = [(n, _weingarten_pair(k, n)) for n in ns]
     comparable = leq(p, q)
     relation = "mobius_residual" if comparable else "scaled_entry"
-    mu = _mobius_row(k, a)[b]
+    mu = _mobius_column(k, b)[a]
     exponent = p.block_count() + q.block_count() - int(_join_exponents(k)[a, b])
     rows = []
     for n, (nums, den) in cells:
@@ -596,12 +596,16 @@ class DkReport:
 def _dk(k, n):
     """d_k(n) from integers.  With W = A / D and D > 0,
     d_k(n) = n / D * sum |A(p, q) n^{|p|} - mu(p, q) D|, where mu(p, q) = 0
-    unless p <= q."""
+    unless p <= q.  A is symmetric, so row b of A pairs with the Moebius
+    column of q = nc[b]."""
     nums, den = _weingarten_pair(k, n)
+    scales = [n ** p.block_count() for p in _all_nc(k)]
     total = 0
-    for a, (p, row) in enumerate(zip(_all_nc(k), nums)):
-        scale = n ** p.block_count()
-        total += sum(abs(x * scale - m * den) for x, m in zip(row, _mobius_row(k, a)))
+    for b, row in enumerate(nums):
+        total += sum(
+            abs(x * scale - m * den)
+            for x, scale, m in zip(row, scales, _mobius_column(k, b))
+        )
     return Fraction(n * total, den)
 
 

@@ -227,6 +227,16 @@ class TestCumulantsCli:
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+    def test_check_free_refuses_families_for_letters_outside_the_alphabet(self, capsys):
+        path = Path(__file__).parent / "golden" / "mf.json"  # alphabet: a
+        args = ["cumulants", "check-free", "--moments", str(path), "--families", "a=1,b=2"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not in the alphabet" in captured.err
+
+
 class TestUrnCli:
     def test_quantum(self, capsys):
         code, report = run_json(
@@ -392,7 +402,7 @@ class TestReproduceAll:
         done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0 and done.stdout == plain
         assert set(json.loads(cold.read_text())["builds"]) == {
-            "NC order", "mobius row", "join exponents", "inverse", "certificate",
+            "NC order", "mobius column", "join exponents", "inverse", "certificate",
             "urn vector", "free vector",
         }
 

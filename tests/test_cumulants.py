@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from qperm.cumulants import (
     CumulantSpec,
     MatrixProbabilitySpace,
     MomentFunctional,
+    _block_products,
     _block_sum,
     cumulants_to_moments,
     free_iid_moment,
@@ -22,7 +24,15 @@ from qperm.acceptance import (
     _partitions_by_function_kernels as partitions_by_function_kernels,
 )
 from qperm.errors import BoundError, DimensionError, DomainError
-from qperm.partitions import SetPartition, enumerate_nc, kernel, leq, mobius_nc
+from qperm.partitions import (
+    SetPartition,
+    _nc_below,
+    _nc_index,
+    enumerate_nc,
+    kernel,
+    leq,
+    mobius_nc,
+)
 
 from _oracles import (
     block_product,
@@ -350,6 +360,12 @@ class TestFreenessCheck:
         with pytest.raises(DomainError, match="tolerance"):
             freeness_check(mf, {"a": 1, "b": 2}, tolerance=Fraction(-1, 100))
 
+    def test_family_for_a_letter_outside_the_alphabet_rejected(self):
+        # one letter checked against nothing would pass as free
+        mf = MomentFunctional(("a",), 2, {("a",): Fraction(0), ("a", "a"): Fraction(1)})
+        with pytest.raises(DomainError, match=r"\['b'\], which are not in the alphabet"):
+            freeness_check(mf, {"a": 1, "b": 2})
+
     def test_single_letter_family_always_free(self):
         rng = random.Random(1)
         moments = {}
@@ -398,7 +414,23 @@ class TestScalarBlockProducts:
         for blocks in partitions_by_function_kernels(k):
             if not crosses_by_definition(blocks):
                 expected = nc_block_sum(moments, word, [blocks], crosses_by_definition)
-                assert _block_sum(mf.value, word, [(SetPartition(blocks), 1)]) == expected
+                position = _nc_index(k, SetPartition(blocks))
+                assert _block_sum(mf.value, word, (position,)) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_one_call_over_nc_k_reads_each_distinct_block_once(self, k):
+        # every non-empty subset of positions is a block of some partition in
+        # NC(k), so NC(k) has 2^k - 1 distinct blocks
+        reads = []
+
+        def value(word):
+            reads.append(word)
+            return Fraction(len(word), 3)
+
+        word = tuple(range(k))
+        _block_products(value, word, _nc_below(SetPartition.full(k)))
+        assert len(reads) == 2**k - 1
+        assert len(set(reads)) == 2**k - 1
 
     def test_missing_word_raises_after_a_zero_block(self):
         # ("b",) is undefined; the block before it has moment 0
@@ -476,7 +508,8 @@ class TestIntegerRoute:
             word = tuple(rng.choice("ab") for _ in range(k))
             nc = enumerate_nc(k)
             for pi in rng.sample(nc, min(5, len(nc))) + [SetPartition.full(k)]:
-                assert _block_sum(mf.value, word, [(pi, 1)]) == block_product(mf, pi, word)
+                got = _block_sum(mf.value, word, (_nc_index(k, pi),))
+                assert got == block_product(mf, pi, word)
                 expected = mobius_inversion(
                     pi, lambda sigma: block_product(mf, sigma, word), mobius_pairs
                 )
@@ -606,7 +639,7 @@ class TestMatrixLayer:
                 for pi in enumerate_nc(k):
                     expected = want(pi, word)
                     scale = np.max(np.abs(expected))
-                    got = _block_sum(spec.value, word, [(pi, 1)])
+                    got = _block_sum(spec.value, word, (_nc_index(k, pi),))
                     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
@@ -625,6 +658,21 @@ class TestSerialization:
         spec = CumulantSpec(("c",), 3, {("c", "c"): Fraction(1), ("c",): Fraction(-1, 2)})
         again = CumulantSpec.from_json_dict(spec.to_json_dict())
         assert again.values == spec.values
+
+    def test_cumulant_spec_is_read_only(self):
+        values = {("c", "c"): Fraction(1)}
+        spec = CumulantSpec(("c",), 3, values)
+        values[("c",)] = Fraction(5)  # the spec holds its own copy
+        assert spec.value(("c",)) == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.k_max = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.values = {}
+        with pytest.raises(TypeError):
+            spec.values[("c",)] = Fraction(5)
+        assert spec.matrix_dim() is None
+        matrix = CumulantSpec(("c",), 2, {("c",): 1, ("c", "c"): np.eye(3, dtype=complex)})
+        assert matrix.matrix_dim() == 3
 
     def test_state_like_check(self):
         # ("a","a")* is ("a*","a*"): those two must carry conjugate values

@@ -636,7 +636,7 @@ class TestDeFinettiGap:
 
         module = importlib.import_module("qperm.exchange")
         monkeypatch.setattr(module, "_nc_weights", no_vector)
-        monkeypatch.setattr(module, "_mobius_row", no_vector)
+        monkeypatch.setattr(module, "_mobius_column", no_vector)
         model = UrnModel(n, [1, Fraction(-1, 2)] + [0] * (n - 2))
         for j in [(), (1,) * (K_MAX + 1)]:
             with pytest.raises(BoundError):
@@ -648,7 +648,7 @@ class TestDeFinettiGap:
             raise AssertionError("started a side of the gap on a singular cell")
 
         module = importlib.import_module("qperm.exchange")
-        for name in ("_nc_weights", "_mobius_row", "_injection_weight"):
+        for name in ("_nc_weights", "_mobius_column", "_injection_weight"):
             monkeypatch.setattr(module, name, no_side)
         model = UrnModel(n, [1, Fraction(-1, 2)] + [0] * (n - 2))
         for j in [(1,) * k, tuple(x % n + 1 for x in range(k))]:

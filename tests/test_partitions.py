@@ -1,16 +1,21 @@
 import itertools
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qperm
 from qperm.errors import BoundError, DimensionError, DomainError
 from qperm.partitions import (
     SetPartition,
-    _mobius_row,
+    _mobius_column,
     _nc_below,
     _nc_order_data,
     enumerate_nc,
@@ -347,16 +352,32 @@ class TestOrderMasks:
         assert len(records) == 1
         assert records[0].getMessage().startswith("NC order k=4 N=14 seconds=")
 
-    def test_mobius_row_build_logs_one_debug_record(self, caplog):
+    def test_table_builds_do_not_import_logging(self):
+        # with logging never imported no handler can be set, so no record is lost
+        code = (
+            "import sys, qperm\n"
+            "from fractions import Fraction\n"
+            "qperm.definetti_gap(qperm.UrnModel(6, [1, Fraction(-1, 2), 0, 0, 0, 0]), (1, 2, 1))\n"
+            "mf = qperm.MomentFunctional(('a',), 3, {('a',) * s: Fraction(s) for s in (1, 2, 3)})\n"
+            "qperm.moments_to_cumulants(mf, qperm.SetPartition.full(3), ('a',) * 3)\n"
+            "assert 'logging' not in sys.modules, 'logging was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qperm.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_mobius_column_build_logs_one_debug_record(self, caplog):
         logger = logging.getLogger("qperm.partitions")
         assert not logger.isEnabledFor(logging.DEBUG)
-        _mobius_row(4, 0)  # built first: the NC order has its own record
+        _mobius_column(4, 0)  # built first: the NC order has its own record
         with caplog.at_level(logging.DEBUG, logger="qperm.partitions"):
-            row = _mobius_row.__wrapped__(4, 2)
+            column = _mobius_column.__wrapped__(4, 2)
         messages = [r.getMessage() for r in caplog.records if r.name == "qperm.partitions"]
         assert len(messages) == 1
-        assert re.fullmatch(r"mobius row k=4 a=2 seconds=\d+\.\d{4}", messages[0])
-        assert row == _mobius_row(4, 2)
+        assert re.fullmatch(r"mobius column k=4 b=2 seconds=\d+\.\d{4}", messages[0])
+        assert column == _mobius_column(4, 2)
 
 
 class TestMobius:
@@ -376,16 +397,16 @@ class TestMobius:
         assert mobius_nc(SetPartition.singletons(5), SetPartition.full(5)) == 14
 
     def test_interval_sums_vanish(self):
-        # sum_{p <= t <= q} mu(p, t) = 0 for p < q
+        # sum_{p <= t <= q} mu(p, t) = 0 for p < q, and the right-hand sum
+        # sum_{p <= t <= q} mu(t, q) = 0 that the column recursion uses
         for k in (2, 3, 4):
             ncs = enumerate_nc(k)
             for p in ncs:
                 for q in ncs:
                     if p != q and leq(p, q):
-                        total = sum(
-                            mobius_nc(p, t) for t in ncs if leq(p, t) and leq(t, q)
-                        )
-                        assert total == 0
+                        interval = [t for t in ncs if leq(p, t) and leq(t, q)]
+                        assert sum(mobius_nc(p, t) for t in interval) == 0
+                        assert sum(mobius_nc(t, q) for t in interval) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_recursion_equals_chain_count(self, k):
