@@ -36,7 +36,6 @@ from .weingarten import (
 )
 from .cumulants import (
     CumulantSpec,
-    MatrixProbabilitySpace,
     MomentFunctional,
     cumulants_to_moments,
     free_iid_moment,
@@ -46,7 +45,6 @@ from .cumulants import (
 from .exchange import (
     MagicUnitary,
     UrnModel,
-    all_permutation_magic_unitaries,
     block_sum_identity,
     cesaro_variance,
     definetti_gap,
@@ -68,14 +66,12 @@ __all__ = [
     "InvariantViolation",
     "K_MAX",
     "MagicUnitary",
-    "MatrixProbabilitySpace",
     "MomentFunctional",
     "NCTable",
     "QpermError",
     "SetPartition",
     "SingularGramError",
     "UrnModel",
-    "all_permutation_magic_unitaries",
     "block_sum_identity",
     "cesaro_variance",
     "cumulants_to_moments",

@@ -26,6 +26,7 @@ from .cumulants import (
 )
 from .errors import InvariantViolation, QpermError, SingularGramError
 from .exchange import (
+    DEFAULT_TOL,
     UrnModel,
     bernoulli_moments,
     block_sum_matches_indicator,
@@ -65,7 +66,7 @@ class ExperimentConfig:
 
     k_max: int = K_MAX
     n_range: tuple = (4, 60)  # covers the widest acceptance sweep
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     seed: int = 20260808
 
     def __post_init__(self):
@@ -90,14 +91,6 @@ class CriterionResult:
     observed: str
     requirement: str
     seconds: float
-
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} criterion {self.number:2d} [{self.name}] "
-            f"{self.observed} | requirement: {self.requirement} "
-            f"({self.seconds:.2f}s)"
-        )
 
     def to_json_dict(self):
         # no timing fields: identical config + seed must give byte-identical output

@@ -67,6 +67,18 @@ def _from_json(data, words_key):
     return tuple(alphabet), k_max, words
 
 
+def _to_json(alphabet, k_max, words_key, words):
+    """The JSON object `_from_json` reads: `words`, a map of letter words to
+    rationals, under `words_key` as comma-joined words to "p/q" strings."""
+    return {
+        "alphabet": [str(a) for a in alphabet],
+        "k_max": k_max,
+        words_key: {
+            ",".join(str(s) for s in w): rational_str(v) for w, v in sorted(words.items())
+        },
+    }
+
+
 @dataclass
 class MomentFunctional:
     """Finitely supported word -> scalar map: a distribution at moment level.
@@ -90,14 +102,7 @@ class MomentFunctional:
             raise DomainError(f"moment undefined for word {word}") from None
 
     def to_json_dict(self):
-        return {
-            "alphabet": [str(a) for a in self.alphabet],
-            "k_max": self.k_max,
-            "moments": {
-                ",".join(str(s) for s in w): rational_str(v)
-                for w, v in sorted(self.moments.items())
-            },
-        }
+        return _to_json(self.alphabet, self.k_max, "moments", self.moments)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -145,14 +150,7 @@ class CumulantSpec:
     def to_json_dict(self):
         if self.matrix_dim() is not None:
             raise DomainError("matrix-valued specifications do not serialize to JSON")
-        return {
-            "alphabet": [str(a) for a in self.alphabet],
-            "k_max": self.k_max,
-            "cumulants": {
-                ",".join(str(s) for s in w): rational_str(v)
-                for w, v in sorted(self.values.items())
-            },
-        }
+        return _to_json(self.alphabet, self.k_max, "cumulants", self.values)
 
     @classmethod
     def from_json_dict(cls, data):
@@ -264,6 +262,16 @@ def free_iid_moment(spec, letters, labels):
     return _spec_sum(spec, letters, _nc_below(kernel(labels)))
 
 
+def _degree(mf, max_degree):
+    """max_degree, or mf.k_max for None: the longest word a verdict on mf
+    reads.  One outside 1..mf.k_max raises BoundError, as a verdict that
+    reads no word would say nothing."""
+    degree = mf.k_max if max_degree is None else max_degree
+    if not 1 <= degree <= mf.k_max:
+        raise BoundError(f"max_degree {degree} outside 1..{mf.k_max}, the functional's k_max")
+    return degree
+
+
 @dataclass(frozen=True)
 class FreenessVerdict:
     free: bool
@@ -276,14 +284,17 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
     """Report mixed cumulants that fail to vanish.
 
     family_labels maps each alphabet symbol to its family; for every word
-    and every non-crossing pi not below the kernel of the word's family
-    labels, the cumulant must be at most `tolerance` in absolute value.
+    of length 1..max_degree (default mf.k_max) and every non-crossing pi
+    not below the kernel of the word's family labels, the cumulant must be
+    at most `tolerance` in absolute value.
     The same rule holds for every value, rational or not: the default 0
     asks for exact vanishing, and a positive tolerance forgives small
     mixed cumulants of a rational functional too; a negative one raises DomainError,
     as do a matrix-valued moment, a letter with no family and a family for
-    a letter outside the alphabet.
+    a letter outside the alphabet.  A degree outside 1..mf.k_max raises
+    BoundError (`_degree`).
     """
+    degree = _degree(mf, max_degree)
     if tolerance < 0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     unlabeled = [s for s in mf.alphabet if s not in family_labels]
@@ -292,7 +303,6 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
     extra = [s for s in family_labels if s not in mf.alphabet]
     if extra:
         raise DomainError(f"families for the letters {extra}, which are not in the alphabet")
-    degree = mf.k_max if max_degree is None else min(max_degree, mf.k_max)
     violations = []
     for k in range(1, degree + 1):
         positions = _nc_positions(k)
@@ -316,29 +326,3 @@ def freeness_check(mf, family_labels, tolerance=0, max_degree=None):
         tolerance=tolerance,
         words_checked=sum(len(mf.alphabet) ** k for k in range(1, degree + 1)),
     )
-
-
-@dataclass(frozen=True)
-class MatrixProbabilitySpace:
-    """M_d (C) sitting inside M_d tensor M_m, with the trace-normalized
-    block conditional expectation onto the d x d corner."""
-
-    d: int
-    m: int
-
-    def embed(self, b):
-        b = np.asarray(b, dtype=complex)
-        if b.shape != (self.d, self.d):
-            raise DimensionError(f"expected {(self.d, self.d)}, got {b.shape}")
-        return np.kron(b, np.eye(self.m, dtype=complex))
-
-    def expectation(self, a):
-        a = np.asarray(a, dtype=complex)
-        size = self.d * self.m
-        if a.shape != (size, size):
-            raise DimensionError(f"expected {(size, size)}, got {a.shape}")
-        blocks = a.reshape(self.d, self.m, self.d, self.m)
-        return np.trace(blocks, axis1=1, axis2=3) / self.m
-
-    def identity(self):
-        return np.eye(self.d * self.m, dtype=complex)

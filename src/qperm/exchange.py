@@ -31,7 +31,7 @@ from operator import matmul, mul
 
 import numpy as np
 
-from .cumulants import MomentFunctional, free_iid_moment
+from .cumulants import MomentFunctional, _degree, free_iid_moment
 from .errors import BoundError, DimensionError, DomainError, InvariantViolation
 from .partitions import (
     SetPartition,
@@ -148,9 +148,6 @@ class MagicUnitary:
                 out.append(f"column {i} does not sum to the identity")
         return out
 
-    def is_valid(self, tol=DEFAULT_TOL):
-        return not self.violations(tol)
-
 
 def permutation_magic_unitary(perm):
     """Magic unitary of a permutation: block (i,j) = [i == perm(j)]."""
@@ -165,11 +162,6 @@ def permutation_magic_unitary(perm):
     unitary = MagicUnitary(blocks)
     unitary._permutation = perm
     return unitary
-
-
-def all_permutation_magic_unitaries(n):
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield permutation_magic_unitary(perm)
 
 
 def rotated_projection(theta):
@@ -242,7 +234,7 @@ def _coaction_sum(unitary, j_word, pi, weight):
 def invariance_check(mf, unitary, max_degree, tolerance=None):
     """Worst deviation of the quantum-permutation invariance condition.
 
-    For every word j of length <= max_degree the coaction average
+    For every word j of length 1..max_degree the coaction average
     sum_i mf(i) U_{i1 j1}...U_{ik jk} must equal mf(j) times the identity
     block.  The comparison tolerance is `unitary.tolerance(tolerance)`
     (`tolerance` defaults to 1e-9): exact unitaries are checked at 0
@@ -251,9 +243,9 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
     `permutation_magic_unitary` relabels the word instead of summing;
     deviation 0 for every permutation unitary is classical exchangeability,
     passing a noncommutative unitary is the stronger quantum condition.
+    A max_degree outside 1..mf.k_max raises BoundError (`_degree`).
     """
-    if max_degree > mf.k_max:
-        raise BoundError(f"max_degree {max_degree} exceeds functional k_max {mf.k_max}")
+    _degree(mf, max_degree)
     if tuple(mf.alphabet) != tuple(range(1, unitary.n + 1)):
         raise DimensionError(
             "moment functional must be indexed by the labels 1..n of the unitary"

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import BoundError, DimensionError, DomainError
 
-#: Default upper bound on ground-set size for enumeration (NC(8) has 1430
-#: elements); every enumeration entry point accepts an explicit override.
+#: Largest ground-set size k that enumeration and the NC(k) order accept
+#: (NC(8) has 1430 elements); a larger k raises BoundError.
 K_MAX = 8
 
 
@@ -89,7 +89,7 @@ class SetPartition:
         return cls([tuple(range(1, k + 1))])
 
     @classmethod
-    def from_text(cls, text, ground_size=None):
+    def from_text(cls, text):
         """Parse "1,8|2,7|3" form; any block/element order is accepted."""
         try:
             blocks = [[int(x) for x in part.split(",")] for part in text.split("|")]
@@ -100,9 +100,7 @@ class SetPartition:
             raise DomainError(f"duplicate element in partition text: {text!r}")
         if any(x < 1 for x in flat):
             raise DomainError(f"elements must be >= 1: {text!r}")
-        if ground_size is not None and any(x > ground_size for x in flat):
-            raise DomainError(f"element out of range 1..{ground_size}: {text!r}")
-        return cls(blocks, ground_size=ground_size)
+        return cls(blocks)
 
     def to_text(self):
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)
@@ -148,10 +146,9 @@ def _require_same_ground(p, q):
         )
 
 
-def _check_k(k, k_max=None):
-    limit = K_MAX if k_max is None else k_max
-    if not 1 <= k <= limit:
-        raise BoundError(f"k={k} outside 1..{limit}")
+def _check_k(k):
+    if not 1 <= k <= K_MAX:
+        raise BoundError(f"k={k} outside 1..{K_MAX}")
 
 
 def is_noncrossing(p):
@@ -224,15 +221,15 @@ def _all_nc(k):
     return _restricted_growth(k, noncrossing=True)
 
 
-def enumerate_partitions(k, k_max=None):
+def enumerate_partitions(k):
     """All of P(k) in canonical order (finer first); |P(k)| = Bell(k)."""
-    _check_k(k, k_max)
+    _check_k(k)
     return list(_all_partitions(k))
 
 
-def enumerate_nc(k, k_max=None):
+def enumerate_nc(k):
     """All of NC(k) in canonical order; |NC(k)| = Catalan(k)."""
-    _check_k(k, k_max)
+    _check_k(k)
     return list(_all_nc(k))
 
 

@@ -73,11 +73,8 @@ class NCTable:
     index: tuple
     entries: tuple
 
-    def position(self, p):
-        return _nc_index(self.k, p)
-
     def entry(self, p, q):
-        return self.entries[self.position(p)][self.position(q)]
+        return self.entries[_nc_index(self.k, p)][_nc_index(self.k, q)]
 
     def to_json_dict(self):
         return {
@@ -452,12 +449,8 @@ def check_inverse(k, n):
     incidence, blocks = _incidence(k)
     kept = blocks <= n
     incidence, blocks = incidence[kept], blocks[kept]
-    try:
-        nums = np.array(nums, dtype=np.int64)
-        widest = max(int(nums.max()), -int(nums.min()))
-    except OverflowError:
-        nums = np.array(nums, dtype=object)
-        widest = max(map(abs, nums.flat))
+    widest = max(map(abs, itertools.chain.from_iterable(nums)))
+    nums = np.array(nums, dtype=_width(widest + 1))
     bound = 2 * (size * n**k * widest + abs(den))
     # every word prime exceeds 2^20
     primes = _word_primes(-(-bound.bit_length() // 20))

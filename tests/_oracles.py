@@ -10,6 +10,7 @@ from functools import reduce
 import numpy as np
 
 from qperm.errors import DimensionError, DomainError
+from qperm.exchange import permutation_magic_unitary
 
 
 def gauss_jordan_inverse(rows):
@@ -480,6 +481,13 @@ def cesaro_by_double_sum(moment, n, pair):
     for labels in itertools.product(range(1, n + 1), repeat=2):
         total += moment(pair, labels)
     return total / n**2
+
+
+def all_permutation_magic_unitaries(n):
+    """The n! permutation magic unitaries of S_n, one per permutation: the
+    sweep that invariance under every relabelling is checked against."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        yield permutation_magic_unitary(perm)
 
 
 def _block_arithmetic(unitary):

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, each printing its pass/fail line."""
+"""Acceptance suite: one test per criterion, each failing with what it observed."""
 
 import json
 from pathlib import Path
@@ -11,8 +11,7 @@ GOLDEN_REPORT = Path(__file__).parent / "golden" / "reproduce-all.stdout"
 
 def _run(criterion_fn, *args, **kwargs):
     result = criterion_fn(*args, **kwargs)
-    print(result.line())
-    assert result.passed, result.line()
+    assert result.passed, result.observed
     return result
 
 

@@ -227,6 +227,16 @@ class TestCumulantsCli:
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+    @pytest.mark.parametrize("degree", ["0", "-1", "5"])
+    def test_check_free_refuses_a_degree_outside_one_to_kmax(self, capsys, degree):
+        path = Path(__file__).parent / "golden" / "tensor.json"  # k_max 4
+        args = ["cumulants", "check-free", "--moments", str(path), "--families", "a=1,b=2"]
+        assert main(args + [f"--kmax={degree}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"max_degree {degree} outside 1..4" in captured.err
+
     def test_check_free_refuses_families_for_letters_outside_the_alphabet(self, capsys):
         path = Path(__file__).parent / "golden" / "mf.json"  # alphabet: a
         args = ["cumulants", "check-free", "--moments", str(path), "--families", "a=1,b=2"]
@@ -353,6 +363,16 @@ class TestMagicCli:
         assert main([*args, "--tol=-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "tolerance must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("degree", ["0", "-1", "5"])
+    def test_invariance_refuses_a_degree_outside_one_to_kmax(self, capsys, degree):
+        path = Path(__file__).parent / "golden" / "labels.json"  # k_max 4
+        args = ["magic", "invariance", "--perm", "2,1,4,3", "--moments", str(path)]
+        assert main(args + [f"--degree={degree}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"max_degree {degree} outside 1..4" in captured.err
 
 
 class TestReproduceAll:

@@ -10,7 +10,6 @@ import pytest
 
 from qperm.cumulants import (
     CumulantSpec,
-    MatrixProbabilitySpace,
     MomentFunctional,
     _block_products,
     _block_sum,
@@ -360,6 +359,13 @@ class TestFreenessCheck:
         with pytest.raises(DomainError, match="tolerance"):
             freeness_check(mf, {"a": 1, "b": 2}, tolerance=Fraction(-1, 100))
 
+    @pytest.mark.parametrize("degree", [0, -1, 3])
+    def test_degree_outside_one_to_kmax_rejected(self, degree):
+        # no mixed word of length 1..degree to check: no verdict
+        mf = MomentFunctional(("a", "b"), 2, {("a", "b"): Fraction(1), ("b", "a"): Fraction(1)})
+        with pytest.raises(BoundError, match="max_degree"):
+            freeness_check(mf, {"a": 1, "b": 2}, max_degree=degree)
+
     def test_family_for_a_letter_outside_the_alphabet_rejected(self):
         # one letter checked against nothing would pass as free
         mf = MomentFunctional(("a",), 2, {("a",): Fraction(0), ("a", "a"): Fraction(1)})
@@ -536,40 +542,6 @@ class TestIntegerRoute:
 
 
 class TestMatrixLayer:
-    def test_expectation_is_unital(self):
-        space = MatrixProbabilitySpace(d=2, m=3)
-        assert np.allclose(space.expectation(space.identity()), np.eye(2))
-
-    def test_embedded_algebra_is_fixed(self):
-        space = MatrixProbabilitySpace(d=3, m=2)
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(space.expectation(space.embed(b)), b)
-
-    def test_bimodule_property_on_random_triples(self):
-        space = MatrixProbabilitySpace(d=2, m=4)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            b1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            lhs = space.expectation(space.embed(b1) @ a @ space.embed(b2))
-            rhs = b1 @ space.expectation(a) @ b2
-            assert np.allclose(lhs, rhs, atol=1e-9)
-
-    def test_idempotent_onto_corner(self):
-        space = MatrixProbabilitySpace(d=2, m=3)
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(6, 6))
-        once = space.expectation(a)
-        twice = space.expectation(space.embed(once))
-        assert np.allclose(once, twice, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        space = MatrixProbabilitySpace(d=2, m=2)
-        with pytest.raises(DimensionError):
-            space.expectation(np.eye(3))
-
     def test_matrix_semicircular_matches_scalar_diagonally(self):
         d = 3
         spec = CumulantSpec(

@@ -21,7 +21,6 @@ from qperm.exchange import (
     _subset_sum,
     _urn_vector,
     UrnModel,
-    all_permutation_magic_unitaries,
     bernoulli_moments,
     block_sum_identity,
     block_sum_matches_indicator,
@@ -50,6 +49,7 @@ from qperm.partitions import (
 from qperm.weingarten import dk_value, haar_moment
 
 from _oracles import (
+    all_permutation_magic_unitaries,
     block_product,
     block_sum_by_labelling,
     cesaro_by_double_sum,
@@ -87,7 +87,7 @@ class TestMagicUnitary:
         for i in range(1, 4):
             for j in range(1, 4):
                 assert u.block(i, j) == (1 if i == j else 0)
-        assert u.is_valid()
+        assert not u.violations()
 
     def test_transposition_pattern(self):
         u = permutation_magic_unitary((2, 1, 3))
@@ -108,7 +108,7 @@ class TestMagicUnitary:
     def test_two_projection_commutative_case(self):
         p = np.diag([1.0, 0.0])
         u = two_projection_magic_unitary(p, p)
-        assert u.is_valid()
+        assert not u.violations()
         assert u.n == 4 and u.d == 2
 
     def test_two_projection_generic_is_noncommutative_and_valid(self):
@@ -245,6 +245,15 @@ class TestInvariance:
         mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
         with pytest.raises(BoundError):
             invariance_check(mf, permutation_magic_unitary((1, 2, 3, 4)), max_degree=3)
+
+    @pytest.mark.parametrize("degree", [0, -1, 3])
+    def test_degree_outside_one_to_kmax_rejected(self, degree):
+        # no word of length 1..degree to check: no verdict, exact or numeric
+        mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
+        numeric = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(0.3))
+        for unitary in (permutation_magic_unitary((2, 1, 3, 4)), numeric):
+            with pytest.raises(BoundError, match="max_degree"):
+                invariance_check(mf, unitary, max_degree=degree)
 
 
 class TestPermutationDeviation:

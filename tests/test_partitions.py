@@ -75,7 +75,7 @@ class TestSetPartition:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            SetPartition.from_text("1,2|3,4", ground_size=3)
+            SetPartition([[1, 2], [3, 4]], ground_size=3)
 
     def test_rejects_ground_zero(self):
         with pytest.raises(BoundError):
@@ -140,7 +140,6 @@ class TestEnumeration:
             enumerate_partitions(0)
         with pytest.raises(BoundError):
             enumerate_nc(9)
-        assert len(enumerate_nc(9, k_max=9)) == 4862
         # the NC(k) order is never built past K_MAX
         zero9, one9 = SetPartition.singletons(9), SetPartition.full(9)
         with pytest.raises(BoundError):
