@@ -283,11 +283,10 @@ def permutation_deviation(mf, max_degree):
     in one pass over the words: a relabelling maps one word onto another
     exactly when the two share a kernel, so it is the largest spread
     max - min of mf.value over the words of one kernel class, for the
-    lengths 1..max_degree.  0 is classical exchangeability."""
-    if max_degree > mf.k_max:
-        raise BoundError(f"max_degree {max_degree} exceeds functional k_max {mf.k_max}")
+    lengths 1..max_degree.  0 is classical exchangeability.  A max_degree
+    outside 1..mf.k_max raises BoundError (`_degree`)."""
     classes = {}
-    for k in range(1, max_degree + 1):
+    for k in range(1, _degree(mf, max_degree) + 1):
         for word in itertools.product(mf.alphabet, repeat=k):
             classes.setdefault(kernel(word), []).append(mf.value(word))
     return max((max(v) - min(v) for v in classes.values()), default=Fraction(0))

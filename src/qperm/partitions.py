@@ -45,7 +45,7 @@ class SetPartition:
 
     __slots__ = ("ground_size", "blocks", "pairs")
 
-    def __init__(self, blocks, ground_size=None):
+    def __init__(self, blocks):
         cleaned = []
         seen = set()
         for block in blocks:
@@ -58,7 +58,7 @@ class SetPartition:
             cleaned.append(b)
         if not seen:
             raise BoundError("ground size 0 is not supported")
-        k = max(seen) if ground_size is None else ground_size
+        k = max(seen)
         if seen != set(range(1, k + 1)):
             raise DomainError(f"blocks must cover 1..{k} exactly: {blocks}")
         cleaned.sort(key=lambda b: b[0])
@@ -151,74 +151,55 @@ def _check_k(k):
         raise BoundError(f"k={k} outside 1..{K_MAX}")
 
 
-def is_noncrossing(p):
-    """True iff the blocks of p can be removed one at a time, each an interval
-    of the positions still remaining: the recursive characterization of NC.
+def _straddled(blocks, b):
+    """True iff a block c straddles b's last element, c[0] < b[-1] < c[-1]:
+    on a non-crossing partition of 1..x-1, exactly when x joining b crosses."""
+    return any(c[0] < b[-1] < c[-1] for c in blocks)
 
-    Positions are bits of one integer, so the interval test is a mask
-    comparison: the remaining positions in [min, max] of a block are the
-    block itself.  A round with no interval block happens exactly when p
-    crosses.
-    """
-    masks = {}
-    for b in p.blocks:
-        own = 0
-        for x in b:
-            own |= 1 << x
-        masks[b] = (own, (2 << b[-1]) - (1 << b[0]))
-    alive = (2 << p.ground_size) - 2
-    while masks:
-        block = next((b for b, (own, span) in masks.items() if alive & span == own), None)
-        if block is None:
+
+def is_noncrossing(p):
+    """True iff p replays the NC(k) growth of `_grow`: each x that joins the
+    earlier elements of its block joins a block no other block straddles.  A
+    prefix of a non-crossing partition is non-crossing, and a crossing never
+    goes away, so the replay accepts exactly NC."""
+    grown = []
+    for x, label in enumerate(p.to_word(), start=1):
+        if label > len(grown):
+            grown.append([x])
+        elif _straddled(grown, grown[label - 1]):
             return False
-        alive ^= masks.pop(block)[0]
+        else:
+            grown[label - 1].append(x)
     return True
 
 
-def _restricted_growth(k, noncrossing):
-    """P(k), or NC(k) when `noncrossing`, in canonical order.
-
-    Restricted growth strings: position x carries the label of its block,
-    labels counted from 0 in order of first occurrence, so blocks come out
-    canonical (ordered by minimum).  A non-crossing prefix stays so when the
-    next position joins an existing block iff every position after that
-    block's last one lies in a block first seen after it; for NC(k) any
-    other prefix is pruned at once."""
-    results = []
-
-    def joins_without_crossing(prefix, a):
-        last = len(prefix) - 1 - prefix[::-1].index(a)
-        opened = max(prefix[: last + 1])
-        return all(b > opened for b in prefix[last + 1 :])
-
-    def extend(prefix, mx):
-        if len(prefix) == k:
-            nb = mx + 1
-            blocks = [[] for _ in range(nb)]
-            for pos, lab in enumerate(prefix, start=1):
-                blocks[lab].append(pos)
-            results.append(SetPartition(blocks))
-            return
-        for a in range(mx + 2):
-            if noncrossing and a <= mx and not joins_without_crossing(prefix, a):
-                continue
-            prefix.append(a)
-            extend(prefix, max(mx, a))
-            prefix.pop()
-
-    extend([], -1)
+def _grow(k, noncrossing):
+    """P(k), or NC(k) when `noncrossing`, in canonical order.  Each partition
+    of 1..x-1 gives those of 1..x: x opens the block (x,) or is appended to
+    a block, so blocks stay canonical as built; for NC(k), a join to a
+    straddled block is skipped."""
+    level = [()]
+    for x in range(1, k + 1):
+        grown = []
+        for blocks in level:
+            grown.append(blocks + ((x,),))
+            for i, b in enumerate(blocks):
+                if not (noncrossing and _straddled(blocks, b)):
+                    grown.append(blocks[:i] + (b + (x,),) + blocks[i + 1 :])
+        level = grown
+    results = [SetPartition._canonical(blocks, k) for blocks in level]
     results.sort(key=SetPartition.sort_key)
     return tuple(results)
 
 
 @lru_cache(maxsize=None)
 def _all_partitions(k):
-    return _restricted_growth(k, noncrossing=False)
+    return _grow(k, noncrossing=False)
 
 
 @lru_cache(maxsize=None)
 def _all_nc(k):
-    return _restricted_growth(k, noncrossing=True)
+    return _grow(k, noncrossing=True)
 
 
 def enumerate_partitions(k):
@@ -246,9 +227,8 @@ def _block_masks(p):
 
 
 def _from_masks(masks, k):
-    return SetPartition(
-        ([x + 1 for x in range(k) if m >> x & 1] for m in masks), ground_size=k
-    )
+    blocks = sorted(tuple(x + 1 for x in range(k) if m >> x & 1) for m in masks)
+    return SetPartition._canonical(tuple(blocks), k)
 
 
 def _join_masks(groups, masks):

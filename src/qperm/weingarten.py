@@ -360,6 +360,8 @@ def _padic_inverse(exponents, k, n):
                 if common > 1:
                     nums = [[x // common for x in row] for row in nums]
                     den //= common
+                for a in range(size):  # A is symmetric: mirrored entries share one int
+                    nums[a][:a] = [nums[b][a] for b in range(a)]
                 _debug(
                     __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
                     k, n, size, p, lifts + m + more, den.bit_length(), time.perf_counter() - start,

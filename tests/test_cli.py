@@ -626,9 +626,11 @@ class TestExperimentConfig:
 
 
 class TestReadme:
-    @staticmethod
-    def documented_commands():
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    @classmethod
+    def documented_commands(cls):
+        readme = cls.README.read_text()
         return [
             line
             for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
@@ -653,3 +655,18 @@ class TestReadme:
             captured = capsys.readouterr()
             assert code in (0, 2), (line, captured.err)
             assert captured.out and captured.err == "", line
+
+    def test_python_tour_runs_and_matches_its_comments(self):
+        # the block's last line asserts the gap bound; each line `expr  # value`
+        # whose comment starts with an integer or a Fraction must give that value
+        (block,) = re.findall(r"^```python\n(.*?)^```", self.README.read_text(), flags=re.M | re.S)
+        namespace = {}
+        exec(block, namespace)
+        checked = 0
+        for line in block.splitlines():
+            expr, _, comment = line.partition("  # ")
+            value = re.match(r"-?\d+|Fraction\(-?\d+, \d+\)", comment.lstrip())
+            if value:
+                assert eval(expr, namespace) == eval(value.group(), namespace), line
+                checked += 1
+        assert checked >= 6

@@ -299,9 +299,12 @@ class TestPermutationDeviation:
         with pytest.raises(BoundError):
             permutation_deviation(mf, 3)
 
-    def test_zero_degree_is_zero(self):
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, degree):
+        # a verdict that reads no word says nothing, as in `_degree`
         mf = tensor_iid_functional(bernoulli_moments(2), 3, 2)
-        assert permutation_deviation(mf, 0) == 0
+        with pytest.raises(BoundError, match=r"outside 1\.\.2"):
+            permutation_deviation(mf, degree)
 
 
 class TestBlockSum:

@@ -73,10 +73,6 @@ class TestSetPartition:
         with pytest.raises(DomainError):
             SetPartition.from_text("1,2|2,3")
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            SetPartition([[1, 2], [3, 4]], ground_size=3)
-
     def test_rejects_ground_zero(self):
         with pytest.raises(BoundError):
             SetPartition([])
@@ -114,19 +110,26 @@ class TestEnumeration:
     def test_nc_k2(self):
         assert enumerate_nc(2) == [P("1|2"), P("1,2")]
 
-    @pytest.mark.parametrize("k,catalan", [(4, 14), (6, 132)])
+    @pytest.mark.parametrize(
+        "k,catalan", [(k, math.comb(2 * k, k) // (k + 1)) for k in range(1, 9)]
+    )
     def test_nc_counts_against_crossing_oracle(self, k, catalan):
+        # the k! kernels through the checked constructor, in canonical order,
+        # and the definition of a crossing: neither reads `_straddled`
+        partitions = sorted(
+            map(SetPartition, partitions_by_function_kernels(k)), key=SetPartition.sort_key
+        )
+        assert enumerate_partitions(k) == partitions
         ncs = enumerate_nc(k)
         assert len(ncs) == catalan
-        oracle = {
-            b for b in partitions_by_function_kernels(k) if not crosses_by_definition(b)
-        }
-        assert {p.blocks for p in ncs} == oracle
+        assert ncs == [p for p in partitions if not crosses_by_definition(p.blocks)]
+        for p in partitions:
+            assert is_noncrossing(p) == (not crosses_by_definition(p.blocks)), p
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_nc_walk_is_the_filter_over_all_partitions(self, k):
-        # NC(k) comes from its own pruned walk; it must be the non-crossing
-        # members of P(k), in the same order
+        # the NC(k) walk skips the joins that the replay in `is_noncrossing`
+        # refuses, so NC(k) is the non-crossing members of P(k), in order
         assert enumerate_nc(k) == [p for p in enumerate_partitions(k) if is_noncrossing(p)]
 
     def test_canonical_order_is_finer_first(self):
