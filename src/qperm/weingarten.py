@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -514,11 +515,23 @@ def haar_moment(n, i, j):
     return _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
 
 
-@dataclass(frozen=True)
-class AsymptoticsRow:
+class AsymptoticsRow(NamedTuple):
+    """One n of a sweep, in integers: W_kn(p, q) = num / den and the scaled
+    value scaled_num / den, with den = D of W_kn.  `value` and `scaled`
+    build their Fraction when read; the sweep itself compares integers."""
+
     n: int
-    value: Fraction
-    scaled: Fraction
+    num: int
+    scaled_num: int
+    den: int
+
+    @property
+    def value(self):
+        return Fraction(self.num, self.den)
+
+    @property
+    def scaled(self):
+        return Fraction(self.scaled_num, self.den)
 
 
 @dataclass(frozen=True)
@@ -550,6 +563,13 @@ def weingarten_asymptotics(k, n_range, p, q):
     entries are A / D from the integer pair of W_kn, and mu and |p v q| are
     read from the tables that d_k(n) reads; every (k, n) cell is refused
     (k > W_K_MAX, singular G_kn) before the join table is built.
+
+    Each cell stays in integers: with x = A(p, q), the scaled value is
+    s / D for s = n (x n^{|p|} - mu D), or s = x n^e.  Over the common
+    denominator L of the sweep's D's, the value at n is the integer
+    s (L / D), and `_no_growth` and max_abs compare those integers; max_abs
+    is the one Fraction the sweep builds.  A row's Fractions are built when
+    it is read (`AsymptoticsRow`).
     """
     ns = sorted(set(n_range))
     if not ns:
@@ -559,23 +579,22 @@ def weingarten_asymptotics(k, n_range, p, q):
     comparable = leq(p, q)
     relation = "mobius_residual" if comparable else "scaled_entry"
     mu = _mobius_column(k, b)[a]
-    exponent = p.block_count() + q.block_count() - int(_join_exponents(k)[a, b])
+    blocks = p.block_count()
+    exponent = blocks + q.block_count() - int(_join_exponents(k)[a, b])
     rows = []
     for n, (nums, den) in cells:
-        w = Fraction(nums[a][b], den)
-        if comparable:
-            scaled = n * (w * n ** p.block_count() - mu)
-        else:
-            scaled = w * n**exponent
-        rows.append(AsymptoticsRow(n=n, value=w, scaled=scaled))
-    scaled_values = [r.scaled for r in rows]
+        x = nums[a][b]
+        scaled = n * (x * n**blocks - mu * den) if comparable else x * n**exponent
+        rows.append(AsymptoticsRow(n, x, scaled, den))
+    common = math.lcm(*(row.den for row in rows))
+    scaled_values = [row.scaled_num * (common // row.den) for row in rows]
     return AsymptoticsReport(
         k=k,
         p=p,
         q=q,
         relation=relation,
         rows=tuple(rows),
-        max_abs=max(abs(v) for v in scaled_values),
+        max_abs=Fraction(max(map(abs, scaled_values)), common),
         bounded=_no_growth(scaled_values),
     )
 

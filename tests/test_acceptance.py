@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each failing with what it observed."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -66,6 +67,20 @@ def test_criterion_12_hewitt_savage_scaling():
 
 def test_criterion_13_small_n_consistency():
     _run(acceptance.criterion_13_small_n_consistency)
+
+
+def test_criterion_13_counts_a_wrong_symmetric_group_average(monkeypatch):
+    module = importlib.import_module("qperm.weingarten")
+    real = module._haar_average_over_sn
+
+    def wrong_once(n, i, j):
+        value = real(n, i, j)
+        return value + 1 if (n, i, j) == (3, (1, 2), (2, 1)) else value
+
+    monkeypatch.setattr(module, "_haar_average_over_sn", wrong_once)
+    result = acceptance.criterion_13_small_n_consistency()
+    assert not result.passed
+    assert result.observed.startswith("1 of 7724 word pairs differ"), result.observed
 
 
 def test_run_all_calls_each_criterion_through_its_module_global(monkeypatch):

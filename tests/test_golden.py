@@ -50,6 +50,7 @@ CASES = {
     "weingarten-table": ["weingarten", "table", "--k", "4", "--n", "5"],
     "weingarten-table-k8": ["weingarten", "table", "--k", "8", "--n", "5"],
     "weingarten-dk": ["weingarten", "dk", "--k", "3", "--n-range", "4..9"],
+    "weingarten-asym-k4": ["weingarten", "asym", "--k", "4", "--n-range", "4..60"],
     "weingarten-asym-pair": [
         "weingarten", "asym", "--k", "3", "--n-range", "4..9", "--p", "1|2|3", "--q", "1,2,3",
     ],

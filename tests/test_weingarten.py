@@ -28,6 +28,7 @@ from qperm.weingarten import (
     _haar_average_over_sn,
     _haar_weingarten_by_kernels,
     _join_exponents,
+    _no_growth,
     _weingarten_pair,
     check_inverse,
     dk_value,
@@ -719,13 +720,11 @@ class TestAsymptotics:
                 # W(p,p) * n^{|p|} -> mu(p,p) = 1: residual/n small
                 assert abs(report.rows[0].value * Fraction(200) ** p.block_count() - 1) < Fraction(1, 50)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matches_fraction_table_oracle(self, k):
-        # every pair of NC(k), against Gauss-Jordan Fraction tables, the chain
-        # count Moebius value and the union-find join
-        ns = range(4, 13)
+    @staticmethod
+    def assert_every_pair_matches_oracle(k, ns, tables):
+        # every pair of NC(k), against Fraction arithmetic on tables[n], the
+        # chain count Moebius value and the union-find join
         nc = enumerate_nc(k)
-        tables = {n: gauss_jordan_inverse([list(r) for r in gram(k, n).entries]) for n in ns}
         for a, p in enumerate(nc):
             for b, q in enumerate(nc):
                 report = weingarten_asymptotics(k, ns, p, q)
@@ -737,6 +736,37 @@ class TestAsymptotics:
                 assert [(r.n, r.value, r.scaled) for r in report.rows] == rows
                 assert report.max_abs == max_abs
                 assert report.bounded == bounded
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_fraction_table_oracle(self, k):
+        # against Gauss-Jordan Fraction tables
+        ns = range(4, 13)
+        tables = {n: gauss_jordan_inverse([list(r) for r in gram(k, n).entries]) for n in ns}
+        self.assert_every_pair_matches_oracle(k, ns, tables)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_fraction_view_oracle_over_criterion_3_grid(self, k):
+        # criterion 3's whole sweep, n = 4..60, against the weingarten() view
+        ns = range(4, 61)
+        self.assert_every_pair_matches_oracle(k, ns, {n: weingarten(k, n).entries for n in ns})
+
+    def test_sweep_builds_one_fraction_until_a_row_is_read(self, monkeypatch):
+        p, q = SetPartition.singletons(4), SetPartition.full(4)
+        ns = range(4, 61)
+        weingarten_asymptotics(4, ns, p, q)  # the pairs are built outside the count
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(MODULE, "Fraction", counted)
+        report = weingarten_asymptotics(4, ns, p, q)
+        assert len(report.rows) == 57
+        assert len(built) <= 1
+        row = report.rows[-1]
+        assert (row.value, row.scaled) == (Fraction(row.num, row.den), Fraction(row.scaled_num, row.den))
+        assert len(built) <= 3
 
     def test_reads_integers_not_the_fraction_table(self, monkeypatch):
         def unused(*args):
@@ -784,6 +814,15 @@ class TestAsymptotics:
         # a singular cell is refused before it too
         with pytest.raises(SingularGramError):
             weingarten_asymptotics(8, range(3, 6), zero8, one8)
+
+
+@pytest.mark.parametrize("kind", [int, lambda v: Fraction(v, 3)], ids=["int", "Fraction"])
+@pytest.mark.parametrize(
+    "values, bounded", [([1, 2], False), ([2, 1], True), ([-3, 1, 2], True), ([5], True)]
+)
+def test_no_growth(values, bounded, kind):
+    # criterion 3 passes the sweep's integers, criterion 10 Fractions
+    assert _no_growth([kind(v) for v in values]) is bounded
 
 
 class TestDk:
