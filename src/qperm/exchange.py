@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import matmul, mul
 
 import numpy as np
@@ -326,6 +326,10 @@ class UrnModel:
     lam: tuple
 
     def __post_init__(self):
+        if not isinstance(self.n, Integral):
+            # a float n would build, then fail deep in a table build, and
+            # share the memo entries of the equal int model
+            raise DomainError(f"n={self.n!r} must be an integer")
         if self.n < 1:
             raise BoundError(f"n={self.n} must be >= 1")
         if len(self.lam) != self.n:
@@ -419,8 +423,30 @@ def _free_vector(model, k):
     return vector, scale * model.n**k
 
 
-def _subset_sum(vector, den, j_word):
-    return Fraction(sum(vector[q] for q in _nc_below(kernel(j_word))), den)
+def _word_kernel(model, j_word):
+    """ker j of a word of the labels 1..n, of length 1..K_MAX."""
+    if not all(1 <= x <= model.n for x in j_word):
+        raise BoundError(f"labels out of range 1..{model.n}: {j_word}")
+    _check_k(len(j_word))
+    return kernel(j_word)
+
+
+def _classical_moment(model, ker):
+    """m_lambda(ker j) over the (n)_r injections of the r labels of j."""
+    return _injection_weight(model, ker) / math.perm(model.n, ker.block_count())
+
+
+def _urn_pair(model, ker, below=None):
+    """(u, D) in integers with the quantum urn moment at a word of kernel ker
+    equal to u / D.  below is `_nc_below(ker)`, looked up here when not
+    given, after the urn vector has refused k > W_K_MAX; n <= 3 reads none."""
+    if model.n <= 3:
+        moment = _classical_moment(model, ker)
+        return moment.numerator, moment.denominator
+    vector, den = _urn_vector(model, ker.ground_size)
+    if below is None:
+        below = _nc_below(ker)
+    return sum(vector[q] for q in below), den
 
 
 def urn_moment_quantum(model, j_word):
@@ -434,13 +460,7 @@ def urn_moment_quantum(model, j_word):
     the quantum permutation group is S_n and the moment is the classical
     one.  Words of length 0 or above K_MAX are refused at every n.
     """
-    j_word = tuple(j_word)
-    if not all(1 <= x <= model.n for x in j_word):
-        raise BoundError(f"labels out of range 1..{model.n}: {j_word}")
-    _check_k(len(j_word))
-    if model.n <= 3:
-        return urn_moment_classical(model, j_word)
-    return _subset_sum(*_urn_vector(model, len(j_word)), j_word)
+    return Fraction(*_urn_pair(model, _word_kernel(model, tuple(j_word))))
 
 
 def urn_moment_classical(model, j_word):
@@ -455,8 +475,7 @@ def urn_moment_classical(model, j_word):
         raise BoundError(f"labels out of range 1..{model.n}: {j_word}")
     if not j_word:
         return Fraction(1)
-    ker = kernel(j_word)
-    return _injection_weight(model, ker) / math.perm(model.n, ker.block_count())
+    return _classical_moment(model, kernel(j_word))
 
 
 @dataclass(frozen=True)
@@ -469,26 +488,41 @@ class GapReport:
     bound: Fraction
 
 
+@lru_cache(maxsize=None)
+def _gap_bound(model, k):
+    """(scale, bound) of the gap at words of length k: scale is
+    max(1, max_i |lambda_i|)^k and bound is d_k(n)/n * scale, read through
+    `dk_value` once per (model, k).  A refused k or a singular G_kn raises,
+    and an exception is not cached."""
+    scale = max(1, max(map(abs, model.lam))) ** k
+    return scale, dk_value(k, [model.n]).max_value / model.n * scale
+
+
 def definetti_gap(model, j_word):
     """Distance of the quantum urn from its marginal-matched free model.
 
     The free i.i.d. side has the free cumulants of the marginal
-    m_s = (1/n) sum_i lambda_i^s.  Each side is a subset sum over the q in
-    NC(k) below ker j, of the urn vector (from W_kn = A / D; the classical
-    urn for n <= 3) or of the Moebius vector `_free_vector`, so the gap is
-    their difference.  It must stay below d_k(n)/n for weights in [-1, 1]; both
-    sides are homogeneous of degree k in lambda, so the bound is
-    d_k(n)/n * max(1, max_i |lambda_i|)^k.  The bound is computed first, so
-    words of length 0 or above W_K_MAX, and the cells with a singular G_kn
-    (n <= 3), are refused before any vector is built.
+    m_s = (1/n) sum_i lambda_i^s.  Each side is a subset sum u or f over the
+    q in NC(k) below ker j, of the urn vector (from W_kn = A / D; the
+    classical urn for n <= 3) or of the Moebius vector `_free_vector`, over
+    its integer D_u or D_f, so the gap is one integer difference,
+    |u D_f - f D_u| / (D_u D_f).  It must stay below d_k(n)/n for weights in
+    [-1, 1]; both sides are homogeneous of degree k in lambda, so the bound
+    is d_k(n)/n * max(1, max_i |lambda_i|)^k.  The scale and the bound are
+    read once per (model, k) (`_gap_bound`), before any vector, so words of
+    length 0 or above W_K_MAX, and the cells with a singular G_kn (n <= 3),
+    are refused before either side is built.  The kernel of j and the
+    positions below it serve both sides.
     """
     j_word = tuple(j_word)
     k = len(j_word)
-    scale = max(1, max(abs(x) for x in model.lam)) ** k
-    bound = dk_value(k, [model.n]).max_value / model.n * scale
-    urn = urn_moment_quantum(model, j_word)
-    free = _subset_sum(*_free_vector(model, k), j_word)
-    gap = abs(urn - free)
+    scale, bound = _gap_bound(model, k)
+    ker = _word_kernel(model, j_word)
+    below = _nc_below(ker)
+    urn, urn_den = _urn_pair(model, ker, below)
+    vector, free_den = _free_vector(model, k)
+    free = sum(vector[q] for q in below)
+    gap = Fraction(abs(urn * free_den - free * urn_den), urn_den * free_den)
     if gap > bound:
         raise InvariantViolation(
             f"de Finetti gap {gap} exceeds d_k(n)/n * {scale} = {bound} "
@@ -497,8 +531,8 @@ def definetti_gap(model, j_word):
     return GapReport(
         n=model.n,
         j_word=j_word,
-        urn_moment=urn,
-        free_moment=free,
+        urn_moment=Fraction(urn, urn_den),
+        free_moment=Fraction(free, free_den),
         gap=gap,
         bound=bound,
     )

@@ -414,6 +414,7 @@ class TestReproduceAll:
         assert pair["currsize"] >= 1
         assert "qperm.partitions._all_nc" in timings["caches"]
         assert "qperm.exchange._urn_vector" in timings["caches"]
+        assert timings["caches"]["qperm.exchange._gap_bound"]["currsize"] >= 1
         # tables built by earlier tests are cached here, so only some builds show
         assert all(b["count"] >= 1 and b["seconds"] >= 0 for b in timings["builds"].values())
         cold = tmp_path / "cold.json"

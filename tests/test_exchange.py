@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import json
 import logging
 import math
 import random
@@ -10,15 +11,23 @@ import numpy as np
 import pytest
 
 from qperm import cumulants
+from qperm.acceptance import ExperimentConfig, criterion_10_definetti_gap
+from qperm.cli import main
 from qperm.cumulants import CumulantSpec, free_iid_moment
-from qperm.errors import BoundError, DimensionError, DomainError, SingularGramError
+from qperm.errors import (
+    BoundError,
+    DimensionError,
+    DomainError,
+    InvariantViolation,
+    SingularGramError,
+)
 from qperm.exchange import (
     MagicUnitary,
     _coaction_sum,
     _free_vector,
+    _gap_bound,
     _injection_weight,
     _label_functional,
-    _subset_sum,
     _urn_vector,
     UrnModel,
     bernoulli_moments,
@@ -40,13 +49,14 @@ from qperm.cumulants import MomentFunctional
 from qperm.partitions import (
     K_MAX,
     SetPartition,
+    _nc_below,
     enumerate_nc,
     enumerate_partitions,
     is_noncrossing,
     kernel,
     leq,
 )
-from qperm.weingarten import dk_value, haar_moment
+from qperm.weingarten import DkReport, dk_value, haar_moment
 
 from _oracles import (
     all_permutation_magic_unitaries,
@@ -500,6 +510,19 @@ class TestUrnMoments:
         assert a != UrnModel(3, [1, 0, Fraction(1, 2)])
         assert _injection_weight(a, P("1,2|3")) is _injection_weight(b, P("1,2|3"))
 
+    @pytest.mark.parametrize(
+        "n, lam, error, message",
+        [
+            (0, [], BoundError, "n=0 must be >= 1"),
+            (2, [1], DimensionError, "need 2 weights, got 1"),
+            (4.0, [1, 0, 0, 0], DomainError, "n=4.0 must be an integer"),
+            (Fraction(4), [1, 0, 0, 0], DomainError, r"n=Fraction\(4, 1\) must be an integer"),
+        ],
+    )
+    def test_model_refuses_bad_n_and_weights(self, n, lam, error, message):
+        with pytest.raises(error, match=message):
+            UrnModel(n, lam)
+
     def test_classical_examples(self):
         assert urn_moment_classical(UrnModel(2, [1, 0]), (1, 2)) == 0
         model = UrnModel(3, [Fraction(1, 2)] * 3)
@@ -616,9 +639,10 @@ class TestDeFinettiGap:
 
     def test_free_side_matches_cumulant_route_oracle(self):
         # marginal moments -> free cumulants -> CumulantSpec -> free i.i.d.
-        # moment, on signed rational weights with denominators > 1 and ties
+        # moment, on signed rational weights with denominators > 1 and ties;
+        # each word is asked twice, so the second answer reads the warm memos
         rng = random.Random(83)
-        singular = 0
+        singular = scaled = 0
         for n in range(1, 13):
             for _ in range(2):
                 pool = [Fraction(rng.randint(-4, 4), rng.randint(2, 6)) for _ in range(min(n, 4))]
@@ -630,16 +654,69 @@ class TestDeFinettiGap:
                         j = tuple(rng.randint(1, n) for _ in range(k))
                         expected = free_side_by_cumulants(kappas, j, cumulants)
                         try:
-                            report = definetti_gap(model, j)
+                            reports = [definetti_gap(model, j) for _ in range(2)]
                         except SingularGramError:
                             # d_k(n) needs an invertible G_kn; the free side does not
-                            assert _subset_sum(*_free_vector(model, k), j) == expected
+                            vector, den = _free_vector(model, k)
+                            below = _nc_below(kernel(j))
+                            assert Fraction(sum(vector[q] for q in below), den) == expected
                             singular += 1
                             continue
-                        assert report.free_moment == expected
-                        assert report.gap == abs(urn_moment_quantum(model, j) - expected)
-                        assert report.bound == dk_value(k, [n]).max_value / n * scale**k
-        assert singular > 0
+                        urn = urn_moment_quantum(model, j)
+                        bound = dk_value(k, [n]).max_value / n * scale**k
+                        for report in reports:
+                            assert report.free_moment == expected
+                            assert report.urn_moment == urn
+                            assert report.gap == abs(urn - expected)
+                            assert report.bound == bound
+                        scaled += scale > 1
+        assert singular > 0 and scaled > 0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_warm_queries_read_the_bound_once_per_model_and_k(self, monkeypatch, n):
+        # after one query of (model, k), d_k(n) is not asked for again, and
+        # every warm report equals a cold one
+        def no_bound(*args):
+            raise AssertionError("asked for d_k(n) of a warm (model, k)")
+
+        module = importlib.import_module("qperm.exchange")
+        model = UrnModel(n, [2, Fraction(-1, 2), Fraction(1, 3), 0, 1][:n])
+        words = random.Random(97).sample(list(itertools.product(range(1, n + 1), repeat=4)), 60)
+        _gap_bound.cache_clear()
+        definetti_gap(model, words[0])
+        monkeypatch.setattr(module, "dk_value", no_bound)
+        warm = [definetti_gap(model, j) for j in words[1:]]
+        monkeypatch.undo()
+        for j, report in zip(words[1:], warm):
+            for memo in (_gap_bound, _urn_vector, _free_vector):
+                memo.cache_clear()
+            assert definetti_gap(model, j) == report
+
+    def test_gap_above_the_bound_is_refused_everywhere(self, monkeypatch, capsys):
+        # d_k(n) read as 0: every nonzero gap is above its bound, in the
+        # library, in `qperm urn gap` and in criterion 10
+        module = importlib.import_module("qperm.exchange")
+        monkeypatch.setattr(
+            module, "dk_value",
+            lambda k, ns: DkReport(k, tuple((n, Fraction(0)) for n in ns), Fraction(0)),
+        )
+        _gap_bound.cache_clear()
+        try:
+            model = UrnModel(6, [1, 1, 1, 0, 0, 0])
+            with pytest.raises(InvariantViolation, match=r"at n=6, j=\(1, 2, 1, 2\)$"):
+                definetti_gap(model, (1, 2, 1, 2))
+            code = main(["urn", "gap", "--n", "6", "--lam", "1,1,1,0,0,0", "--j", "1,2,1,2"])
+            report = json.loads(capsys.readouterr().out)
+            assert code == 2 and report["pass"] is False
+            assert list(report["results"]) == ["error"]
+            message = report["results"]["error"]
+            assert "\n" not in message and message.endswith("at n=6, j=(1, 2, 1, 2)")
+            result = criterion_10_definetti_gap(ExperimentConfig(k_max=3, n_range=(4, 5)))
+            assert not result.passed
+            failures = int(result.observed.split(" bound failures")[0])
+            assert failures > 0
+        finally:
+            _gap_bound.cache_clear()
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_gap_refuses_empty_and_long_words_before_any_vector(self, monkeypatch, n):

@@ -47,6 +47,7 @@ CASES = {
     "urn-quantum": ["urn", "quantum", "--n", "5", "--lam", "1,1/2,0,0,-1", "--j", "1,2,1,3"],
     "urn-classical": ["urn", "classical", "--n", "5", "--lam", "1,1/2,0,0,-1", "--j", "1,2,1,3"],
     "urn-gap": ["urn", "gap", "--n", "6", "--lam", "1,1,1,0,0,0", "--j", "1,2,1,2"],
+    "urn-gap-classical-scaled": ["urn", "gap", "--n", "3", "--lam", "2,-1/2,0", "--j", "1,2,1"],
     "weingarten-table": ["weingarten", "table", "--k", "4", "--n", "5"],
     "weingarten-table-k8": ["weingarten", "table", "--k", "8", "--n", "5"],
     "weingarten-dk": ["weingarten", "dk", "--k", "3", "--n-range", "4..9"],
