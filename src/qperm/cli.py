@@ -281,8 +281,8 @@ def cmd_magic_invariance(args):
 
 def _recording_builds(run, *args):
     """(run(*args), builds): `builds` maps each kind of table build that
-    logged a debug record during the run to its count and summed seconds.  A
-    build's record names its kind before " k=" and passes its seconds last."""
+    logged a debug record during the run to its count and summed seconds,
+    read from the record's `build` and `seconds` (`partitions._record_build`)."""
     # imported here, so that only --timings pays for the logging package
     import logging
 
@@ -290,11 +290,9 @@ def _recording_builds(run, *args):
 
     class Collect(logging.Handler):
         def emit(self, record):
-            entry = builds.setdefault(
-                record.msg.partition(" k=")[0], {"count": 0, "seconds": 0.0}
-            )
+            entry = builds.setdefault(record.build, {"count": 0, "seconds": 0.0})
             entry["count"] += 1
-            entry["seconds"] += record.args[-1]
+            entry["seconds"] += record.seconds
 
     logger = logging.getLogger(__package__)
     handler, level = Collect(), logger.level

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral, Rational
+from numbers import Rational
 from operator import matmul, mul
 
 import numpy as np
@@ -36,9 +36,10 @@ from .errors import BoundError, DimensionError, DomainError, InvariantViolation
 from .partitions import (
     SetPartition,
     _check_k,
-    _debug,
+    _check_n,
     _mobius_column,
     _nc_below,
+    _record_build,
     enumerate_nc,
     enumerate_partitions,
     kernel,
@@ -326,12 +327,7 @@ class UrnModel:
     lam: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, Integral):
-            # a float n would build, then fail deep in a table build, and
-            # share the memo entries of the equal int model
-            raise DomainError(f"n={self.n!r} must be an integer")
-        if self.n < 1:
-            raise BoundError(f"n={self.n} must be >= 1")
+        object.__setattr__(self, "n", _check_n(self.n))
         if len(self.lam) != self.n:
             raise DimensionError(f"need {self.n} weights, got {len(self.lam)}")
         object.__setattr__(self, "lam", tuple(Fraction(x) for x in self.lam))
@@ -395,10 +391,7 @@ def _urn_vector(model, k):
     start = time.perf_counter()
     scale, weights = _nc_weights(model, k)
     vector = tuple(sum(map(mul, row, weights)) for row in nums)
-    _debug(
-        __name__, "urn vector k=%d n=%d N=%d seconds=%.4f",
-        k, model.n, len(vector), time.perf_counter() - start,
-    )
+    _record_build(__name__, "urn vector", start, k=k, n=model.n, N=len(vector))
     return vector, scale * den
 
 
@@ -416,10 +409,7 @@ def _free_vector(model, k):
     start = time.perf_counter()
     coeffs = [w * model.n ** (k - p.block_count()) for p, w in zip(enumerate_nc(k), weights)]
     vector = tuple(sum(map(mul, coeffs, column)) for column in columns)
-    _debug(
-        __name__, "free vector k=%d n=%d N=%d seconds=%.4f",
-        k, model.n, len(vector), time.perf_counter() - start,
-    )
+    _record_build(__name__, "free vector", start, k=k, n=model.n, N=len(vector))
     return vector, scale * model.n**k
 
 
@@ -544,8 +534,7 @@ def cesaro_variance(spec, n):
     letter "c*" when the alphabet has it and c otherwise.  The n^2 terms of
     the pair-moment double sum read the labels (i1, i2) only through their
     kernel: n of them are m(1, 1) and n(n - 1) are m(1, 2)."""
-    if n < 1:
-        raise BoundError(f"n={n} must be >= 1")
+    n = _check_n(n)
     star = "c*" if "c*" in spec.alphabet else "c"
     if spec.value(("c",)) != 0 or spec.value((star,)) != 0:
         raise DomainError("cesaro_variance requires a centered letter (kappa_1 = 0)")

@@ -7,6 +7,7 @@ All operations are pure; memoization goes through `functools.lru_cache`,
 which is internally synchronized, so concurrent read-only use is safe.
 """
 
+import operator
 import sys
 import time
 from functools import lru_cache
@@ -146,9 +147,29 @@ def _require_same_ground(p, q):
         )
 
 
+def _integer(name, size):
+    """size as an int (numpy integers too), or DomainError: memo tables are
+    keyed by sizes, where 4.0 == 4, so entries admit sizes before any lookup."""
+    try:
+        return operator.index(size)
+    except TypeError:
+        raise DomainError(f"{name}={size!r} must be an integer") from None
+
+
 def _check_k(k):
+    """k as an int in 1..K_MAX; any other k raises (`_integer`, BoundError)."""
+    k = _integer("k", k)
     if not 1 <= k <= K_MAX:
         raise BoundError(f"k={k} outside 1..{K_MAX}")
+    return k
+
+
+def _check_n(n):
+    """n as an int >= 1; any other n raises (`_integer`, BoundError)."""
+    n = _integer("n", n)
+    if n < 1:
+        raise BoundError(f"n={n} must be >= 1")
+    return n
 
 
 def _straddled(blocks, b):
@@ -204,14 +225,12 @@ def _all_nc(k):
 
 def enumerate_partitions(k):
     """All of P(k) in canonical order (finer first); |P(k)| = Bell(k)."""
-    _check_k(k)
-    return list(_all_partitions(k))
+    return list(_all_partitions(_check_k(k)))
 
 
 def enumerate_nc(k):
     """All of NC(k) in canonical order; |NC(k)| = Catalan(k)."""
-    _check_k(k)
-    return list(_all_nc(k))
+    return list(_all_nc(_check_k(k)))
 
 
 def leq(p, q):
@@ -275,18 +294,20 @@ def kernel(indices):
     return SetPartition._canonical(tuple(map(tuple, groups.values())), len(items))
 
 
-def _debug(module, message, *args):
-    """One `logging` debug record of a table build, on the logger of `module`.
-
-    `message` starts with the kind of build and " k=", and the build's
-    seconds are the last of `args`: `reproduce-all --timings` sums them.
-    Nothing is recorded while the logging package is not imported: no
-    handler or level can have been set then, and importing it would cost
-    the first table build a few milliseconds."""
+def _record_build(module, kind, start, **facts):
+    """One `logging` debug record, on the logger of `module`, of a table build
+    begun at the perf_counter reading `start`: "kind name=value ... seconds=S",
+    the integer facts in call order, with `build` and `seconds` attached for
+    `reproduce-all --timings`.  Nothing is recorded while logging is not
+    imported: no handler can be set then, and importing it costs milliseconds."""
     logging = sys.modules.get("logging")
     if logging is None:
         return
-    logging.getLogger(module).debug(message, *args, stacklevel=2)
+    seconds = time.perf_counter() - start
+    message = " ".join([kind, *(f"{name}=%d" for name in facts), "seconds=%.4f"])
+    logging.getLogger(module).debug(
+        message, *facts.values(), seconds, stacklevel=2, extra={"build": kind, "seconds": seconds}
+    )
 
 
 def _packed_rows(matrix):
@@ -310,7 +331,7 @@ def _nc_order_data(k):
     pairs = np.array([p.pairs for p in nc], dtype=np.uint64)
     order = (pairs[:, None] & ~pairs[None, :]) == 0
     up, down = _packed_rows(order), _packed_rows(order.T)
-    _debug(__name__, "NC order k=%d N=%d seconds=%.4f", k, len(nc), time.perf_counter() - start)
+    _record_build(__name__, "NC order", start, k=k, N=len(nc))
     return nc, pos, up, down
 
 
@@ -351,7 +372,7 @@ def _mobius_column(k, b):
                 s += column[t]
             bit &= bit - 1
         column[a] = -s
-    _debug(__name__, "mobius column k=%d b=%d seconds=%.4f", k, b, time.perf_counter() - start)
+    _record_build(__name__, "mobius column", start, k=k, b=b)
     return tuple(column)
 
 

@@ -45,22 +45,17 @@ from .partitions import (
     _all_nc,
     _block_masks,
     _check_k,
-    _debug,
+    _check_n,
     _join_masks,
     _mobius_column,
     _nc_below,
     _nc_index,
+    _record_build,
     enumerate_nc,
     enumerate_partitions,
     kernel,
     leq,
 )
-
-
-def _check_kn(k, n):
-    _check_k(k)
-    if n < 1:
-        raise BoundError(f"n={n} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -108,14 +103,14 @@ def _join_exponents(k):
             table[a][b] = table[b][a] = len(_join_masks(own, masks[b]))
     table = np.array(table, dtype=np.intp)
     table.flags.writeable = False
-    _debug(__name__, "join exponents k=%d N=%d seconds=%.4f", k, size, time.perf_counter() - start)
+    _record_build(__name__, "join exponents", start, k=k, N=size)
     return table
 
 
 def gram(k, n):
     """Exact Gram matrix of the NC(k) partition vectors at size n, built on
     each call from the join exponents, which are memoized per k."""
-    _check_kn(k, n)
+    k, n = _check_k(k), _check_n(n)
     power = [n**e for e in range(k + 1)]
     rows = tuple(tuple(power[e] for e in row) for row in _join_exponents(k).tolist())
     return NCTable(k=k, n=n, index=_all_nc(k), entries=rows)
@@ -363,9 +358,9 @@ def _padic_inverse(exponents, k, n):
                     den //= common
                 for a in range(size):  # A is symmetric: mirrored entries share one int
                     nums[a][:a] = [nums[b][a] for b in range(a)]
-                _debug(
-                    __name__, "inverse k=%d n=%d N=%d prime=%d lifts=%d den_bits=%d seconds=%.4f",
-                    k, n, size, p, lifts + m + more, den.bit_length(), time.perf_counter() - start,
+                _record_build(
+                    __name__, "inverse", start, k=k, n=n, N=size, prime=p,
+                    lifts=lifts + m + more, den_bits=den.bit_length(),
                 )
                 return tuple(map(tuple, nums)), den
             lifts += m
@@ -395,9 +390,8 @@ _SINGULAR_FROM_K = {1: 2, 2: 3, 3: 5}
 @lru_cache(maxsize=None)
 def _weingarten_pair(k, n):
     """(A, D) in integers with W_kn = A / D in lowest terms, built once per
-    (k, n).  A singular G_kn raises SingularGramError, and k > W_K_MAX raises
-    BoundError, both before any modular work."""
-    _check_kn(k, n)
+    (k, n) admitted by an entry.  A singular G_kn raises SingularGramError,
+    and k > W_K_MAX raises BoundError, both before any modular work."""
     if k >= _SINGULAR_FROM_K.get(n, K_MAX + 1):
         raise SingularGramError(k, n)
     if k > W_K_MAX:
@@ -412,6 +406,7 @@ def weingarten(k, n):
     """W_kn = G_kn^{-1} = A / D, exact; raises SingularGramError when G_kn
     is not invertible (possible for small n).  The `Fraction` table is built
     on each call from the pair, which is memoized per (k, n)."""
+    k, n = _check_k(k), _check_n(n)
     nums, den = _weingarten_pair(k, n)
     entries = tuple(tuple(Fraction(x, den) for x in row) for row in nums)
     return NCTable(k=k, n=n, index=_all_nc(k), entries=entries)
@@ -446,6 +441,7 @@ def check_inverse(k, n):
     (Chinese remainder theorem), and one nonzero residue refutes it.  The
     clock of its debug record starts once the pair is read, so the record
     excludes an inverse that the call builds."""
+    k, n = _check_k(k), _check_n(n)
     nums, den = _weingarten_pair(k, n)
     start = time.perf_counter()
     size = len(nums)
@@ -472,9 +468,8 @@ def check_inverse(k, n):
         ok = np.array_equal(product, np.eye(size) * (den % p))
         if not ok:
             break
-    _debug(
-        __name__, "certificate k=%d n=%d N=%d rows=%d primes=%d seconds=%.4f",
-        k, n, size, len(incidence), used, time.perf_counter() - start,
+    _record_build(
+        __name__, "certificate", start, k=k, n=n, N=size, rows=len(incidence), primes=used
     )
     return ok
 
@@ -489,30 +484,23 @@ def _haar_average_over_sn(n, i, j):
     return Fraction(total, math.factorial(n))
 
 
-@lru_cache(maxsize=None)
-def _haar_weingarten_by_kernels(n, ker_i, ker_j):
-    # the double Weingarten sum depends on the words only through kernels;
-    # it adds the integers of A and divides by D once
-    nums, den = _weingarten_pair(ker_i.ground_size, n)
-    cols = _nc_below(ker_j)
-    return Fraction(sum(nums[a][b] for a in _nc_below(ker_i) for b in cols), den)
-
-
 def haar_moment(n, i, j):
     """Haar-state value of the generator word u_{i1 j1} ... u_{ik jk}: the
     S_n average for n <= 3, where the quantum permutation algebra is
     commutative, and the Weingarten sum over the kernels of i and j for
-    n >= 4."""
+    n >= 4, which adds the integers of A and divides by D once."""
     i = tuple(i)
     j = tuple(j)
     if len(i) != len(j):
         raise BoundError(f"index words differ in length: {len(i)} vs {len(j)}")
-    _check_kn(len(i), n)
+    k, n = _check_k(len(i)), _check_n(n)
     if not all(1 <= x <= n for x in i) or not all(1 <= x <= n for x in j):
         raise BoundError(f"index out of range 1..{n}: i={i}, j={j}")
     if n <= 3:
         return _haar_average_over_sn(n, i, j)
-    return _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
+    nums, den = _weingarten_pair(k, n)
+    cols = _nc_below(kernel(j))
+    return Fraction(sum(nums[a][b] for a in _nc_below(kernel(i)) for b in cols), den)
 
 
 class AsymptoticsRow(NamedTuple):
@@ -571,9 +559,10 @@ def weingarten_asymptotics(k, n_range, p, q):
     is the one Fraction the sweep builds.  A row's Fractions are built when
     it is read (`AsymptoticsRow`).
     """
-    ns = sorted(set(n_range))
+    ns = sorted(set(map(_check_n, n_range)))
     if not ns:
         raise BoundError("empty n range")
+    k = _check_k(k)
     a, b = _nc_index(k, p), _nc_index(k, q)
     cells = [(n, _weingarten_pair(k, n)) for n in ns]
     comparable = leq(p, q)
@@ -629,8 +618,9 @@ def dk_value(k, n_range):
     The maximum over the sweep is a lower bound for the universal constant
     sup_n d_k(n); the supremum itself is not computed.
     """
-    ns = sorted(set(n_range))
+    ns = sorted(set(map(_check_n, n_range)))
     if not ns:
         raise BoundError("empty n range")
+    k = _check_k(k)
     values = tuple((n, _dk(k, n)) for n in ns)
     return DkReport(k=k, values=values, max_value=max(v for _, v in values))

@@ -26,7 +26,6 @@ from qperm.weingarten import (
     _PRIMES,
     _word_primes,
     _haar_average_over_sn,
-    _haar_weingarten_by_kernels,
     _join_exponents,
     _no_growth,
     _weingarten_pair,
@@ -309,9 +308,9 @@ class TestWeingarten:
         monkeypatch.setattr(MODULE, "_weingarten_pair", cold)
         with caplog.at_level(logging.DEBUG, logger="qperm.weingarten"):
             assert check_inverse(5, 6)
-        # a record is made when its build ends, `seconds` (its last argument) after it began
+        # a record is made when its build ends, `seconds` after it began
         spans = {
-            r.msg.partition(" k=")[0]: (r.created - r.args[-1], r.created)
+            r.build: (r.created - r.seconds, r.created)
             for r in caplog.records
             if r.name == "qperm.weingarten"
         }
@@ -629,10 +628,13 @@ class TestHaarMoment:
 
     @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4)])
     def test_small_n_branches_agree_where_invertible(self, n, k):
+        # haar_moment takes the S_n average at n <= 3; the Weingarten sum
+        # over the kernels, taken from the table, agrees wherever G_kn inverts
+        table = weingarten(k, n)
         for i in itertools.product(range(1, n + 1), repeat=k):
             for j in itertools.product(range(1, n + 1), repeat=k):
                 avg = _haar_average_over_sn(n, i, j)
-                wg = _haar_weingarten_by_kernels(n, kernel(i), kernel(j))
+                wg = haar_by_fraction_table(table.entries, table.index, kernel(i), kernel(j), leq)
                 assert avg == wg
 
     def test_small_n_words_on_singular_cells(self):
@@ -646,7 +648,8 @@ class TestHaarMoment:
 
     def test_small_n_weingarten_branch_can_be_singular(self):
         with pytest.raises(SingularGramError):
-            _haar_weingarten_by_kernels(2, kernel((1, 1, 2)), kernel((1, 2, 1)))
+            weingarten(3, 2)
+        assert haar_moment(2, (1, 1, 2), (1, 2, 1)) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_adjugate_sums_match_fraction_table_oracle(self, k):
