@@ -32,6 +32,7 @@ import numpy as np
 from .errors import BoundError, DimensionError, DomainError
 from .partitions import (
     _all_nc,
+    _integer,
     _mobius_below,
     _nc_below,
     _nc_positions,
@@ -43,7 +44,8 @@ from .weingarten import rational_str
 def _from_json(data, words_key):
     """(alphabet, k_max, words) from a JSON object with the keys "alphabet",
     "k_max" and `words_key`, a map of comma-joined words to rationals;
-    DomainError names a missing key or a value of the wrong kind."""
+    DomainError names a missing key or a value of the wrong kind.  k_max is
+    passed on as read, for the constructor to admit (`_integer`)."""
     if not isinstance(data, dict):
         raise DomainError("the JSON input is not an object")
     try:
@@ -54,10 +56,6 @@ def _from_json(data, words_key):
         raise DomainError(f"{words_key} {raw!r} is not a JSON object")
     if not isinstance(alphabet, list):
         raise DomainError(f"alphabet {alphabet!r} is not a JSON array")
-    try:
-        k_max = int(k_max)
-    except (TypeError, ValueError):
-        raise DomainError(f"k_max {k_max!r} is not an integer") from None
     words = {}
     for text, v in raw.items():
         try:
@@ -89,6 +87,9 @@ class MomentFunctional:
     alphabet: tuple
     k_max: int
     moments: dict
+
+    def __post_init__(self):
+        self.k_max = _integer("k_max", self.k_max)
 
     def value(self, word):
         word = tuple(word)
@@ -133,6 +134,7 @@ class CumulantSpec:
     _dim: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k_max", _integer("k_max", self.k_max))
         values = MappingProxyType(dict(self.values))
         object.__setattr__(self, "values", values)
         dim = next((v.shape[0] for v in values.values() if isinstance(v, np.ndarray)), None)

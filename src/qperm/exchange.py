@@ -6,10 +6,13 @@ level of moments through the Haar integration formula; no Hilbert-space
 operators are constructed.  Permutation magic unitaries and urn moments
 are exact rationals; complex-projection magic unitaries carry a stated
 absolute tolerance (default 1e-9).  `MagicUnitary` reads that arithmetic
-off its blocks (`*` or `@`, exact comparison or a tolerance), and every
-coaction sum, the invariance check's sum_i M(i) u_{i1 j1}...u_{ik jk} and
-the block sum over the index words i with pi <= ker i, is one depth-first
-walk over the nonzero blocks (`_coaction_sum`).
+off its blocks (`*` or `@`, exact comparison or a tolerance) and holds
+them stacked in one array.  Every coaction sum, the invariance check's
+sum_i M(i) u_{i1 j1}...u_{ik jk} and the block sum over the index words i
+with pi <= ker i, goes through one level-order kernel (`_coaction_sums`):
+a batch of words of one length is summed with one stacked `@` per position,
+every product and every sum formed in the order of a depth-first walk over
+the nonzero blocks, so that the floats are the walk's to the bit.
 
 Classical exchangeability is decided exactly: a relabelling maps one word
 onto another exactly when the two share a kernel, so invariance under every
@@ -49,6 +52,9 @@ from .weingarten import _weingarten_pair, dk_value
 
 DEFAULT_TOL = 1e-9
 
+#: The most block products one pass of `_coaction_sums` holds at once.
+_LEAVES = 1 << 10
+
 
 class MagicUnitary:
     """n x n array of d x d projection blocks with magic row/column sums.
@@ -70,11 +76,15 @@ class MagicUnitary:
             raise DimensionError("blocks must be all scalars or all matrices")
         self.exact = arrays == 0
         self._permutation = None
+        # `stack` holds the blocks as one (n, n, d, d) array, of Fractions when
+        # exact; a structural zero is exactly 0, or has no entry above 1e-14
         if self.exact:
             if not all(isinstance(x, Rational) for r in rows for x in r):
                 raise DomainError("scalar blocks must be rational")
             self.d = 1
             self.blocks = tuple(tuple(Fraction(x) for x in r) for r in rows)
+            self.stack = np.array(self.blocks, dtype=object).reshape(n, n, 1, 1)
+            self._nonzero = self.stack[:, :, 0, 0] != 0
             self.one, self.zero = Fraction(1), Fraction(0)
             self.mul, self.scalar = mul, Fraction
             self.adjoint = lambda a: a
@@ -87,16 +97,13 @@ class MagicUnitary:
                 raise DimensionError("blocks must be square matrices of one shape")
             self.d = shape[0]
             self.blocks = tuple(tuple(r) for r in arrs)
+            self.stack = np.array(arrs)
+            self._nonzero = np.abs(self.stack).max(axis=(2, 3)) > 1e-14
             self.one = np.eye(self.d, dtype=complex)
             self.zero = np.zeros((self.d, self.d), dtype=complex)
             self.mul, self.scalar = matmul, complex
             self.adjoint = lambda a: a.conj().T
         self.n = n
-        # a structural zero is exactly 0, or a matrix with no entry above 1e-14
-        floor = self.tolerance(1e-14)
-        self._nonzero = tuple(
-            tuple(self.distance(b, self.zero) > floor for b in row) for row in self.blocks
-        )
 
     def distance(self, a, b):
         """|a - b| exactly, or the largest entry of |a - b| as a float."""
@@ -113,7 +120,7 @@ class MagicUnitary:
         return self.blocks[i - 1][j - 1]
 
     def block_is_zero(self, i, j):
-        return not self._nonzero[i - 1][j - 1]
+        return not self._nonzero[i - 1, j - 1]
 
     def permutation(self):
         """The permutation `permutation_magic_unitary` recorded, or None:
@@ -156,10 +163,8 @@ def permutation_magic_unitary(perm):
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"not a permutation of 1..{n}: {perm}")
-    blocks = [
-        [Fraction(1) if i == perm[j - 1] else Fraction(0) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    one, zero = Fraction(1), Fraction(0)
+    blocks = [[one if i == perm[j - 1] else zero for j in range(1, n + 1)] for i in range(1, n + 1)]
     unitary = MagicUnitary(blocks)
     unitary._permutation = perm
     return unitary
@@ -204,32 +209,75 @@ class InvarianceReport:
     passed: bool
 
 
-def _coaction_sum(unitary, j_word, pi, weight):
-    """sum over the index words i with pi <= ker i of
-    weight(i) * U_{i1 j1} ... U_{ik jk}, in the block arithmetic of `unitary`.
+def _coaction_sums(unitary, pi, letters, values=None):
+    """For each word j of `itertools.product(*letters)`, of length
+    k = pi.ground_size, the sum over the index words i with pi <= ker i of
+    values[i] * U_{i1 j1} ... U_{ik jk}, as an array of the words' d x d
+    sums in that order, in the block arithmetic of `unitary` (1 x 1 arrays
+    of Fractions when exact).  letters holds k label sequences of one
+    length; values is an array of the scalars of the index words in
+    `itertools.product` order, and None weighs each of them by 1.
 
-    Depth first over the nonzero blocks: the first position of a block of pi
-    pushes the labels 1..n in order (popped last in, first out), and every
-    other position repeats the label of the first position of its block.
+    Level order: the leaves form a grid with one axis per block of pi, in
+    the order of first positions, over the (letters at the block's
+    positions, label) pairs whose blocks are all nonzero, labels n..1.
+    Level t multiplies every product of the positions before t by its block
+    at t, one stacked `@` from `unitary.one`, so each product is formed left
+    to right.  Each word then adds its leaves one at a time to zero
+    (`np.add.at`), i in descending lexicographic order: every product, the
+    order and so every bit of the sums are those of a depth-first walk per
+    word that pushes the labels 1..n and pops the last pushed first.
     """
-    opener = [0] * len(j_word)
-    for b in pi.blocks:
-        for x in b:
-            opener[x - 1] = b[0] - 1
-    labels = range(1, unitary.n + 1)
-    total = unitary.zero
-    stack = [((), unitary.one)]
-    while stack:
-        prefix, prod = stack.pop()
-        t = len(prefix)
-        if t == len(j_word):
-            total = total + unitary.scalar(weight(prefix)) * prod
-            continue
-        for i in labels if opener[t] == t else (prefix[opener[t]],):
-            if not unitary.block_is_zero(i, j_word[t]):
-                blk = unitary.block(i, j_word[t])
-                stack.append((prefix + (i,), unitary.mul(prod, blk)))
-    return total
+    n, k = unitary.n, pi.ground_size
+    letters = np.asarray(letters, dtype=np.intp) - 1
+    m = letters.shape[1]
+    shape = unitary.stack.shape[2:]
+    sums = np.full((m,) * k + shape, unitary.scalar(0), dtype=unitary.stack.dtype)
+    # by position, letter and label n..1: is the block nonzero, and the block
+    allowed = unitary._nonzero.T[letters][..., ::-1]
+    blocks = unitary.stack.transpose(1, 0, 2, 3)[letters][:, :, ::-1]
+    axes = len(pi.blocks)
+    # by position: its block's axis, its block, and its letter index and
+    # label along that axis
+    steps, letter, label = [None] * k, [None] * k, [None] * k
+    sizes = []
+    for axis, b in enumerate(pi.blocks):
+        # over the letters at b's positions and the labels: are all b's blocks nonzero
+        mask = allowed[b[0] - 1].reshape(m, *(1,) * (len(b) - 1), n)
+        for q, x in enumerate(b[1:], 1):
+            mask = mask & allowed[x - 1].reshape(*(1,) * q, m, *(1,) * (len(b) - 1 - q), n)
+        *choice, down = np.nonzero(mask)
+        if not down.size:  # no index word has all its blocks nonzero
+            return sums.reshape(-1, *shape)
+        sizes.append(down.size)
+        trail = (1,) * (axes - 1 - axis)
+        for q, x in enumerate(b):
+            steps[x - 1] = axis, blocks[x - 1, choice[q], down]
+            letter[x - 1] = choice[q].reshape(-1, *trail)
+            label[x - 1] = down.reshape(-1, *trail)
+    # the first `lead` axes are taken one point at a time in C order, so that
+    # one pass holds at most _LEAVES products
+    lead = 0
+    while math.prod(sizes[lead:]) > _LEAVES:
+        lead += 1
+    one = np.asarray(unitary.one, dtype=unitary.stack.dtype).reshape(shape)
+    for point in itertools.product(*map(range, sizes[:lead])):
+        cut = [slice(x, x + 1) for x in point] + [slice(None)] * (axes - lead)
+        prods, opened = one, 0
+        for axis, factor in steps:
+            factor = factor[cut[axis]]
+            if axis == opened:
+                prods = prods[..., None, :, :] @ factor
+                opened += 1
+            else:
+                prods = prods @ factor.reshape(-1, *(1,) * (opened - 1 - axis), *shape)
+        if values is None:
+            terms = unitary.scalar(1) * prods
+        else:
+            at = tuple(g[cut[axis]] for (axis, _), g in zip(steps, label))
+            terms = np.flip(values.reshape((n,) * k))[at][..., None, None] * prods
+        np.add.at(sums, tuple(g[cut[axis]] for (axis, _), g in zip(steps, letter)), terms)
+    return sums.reshape(-1, *shape)
 
 
 def invariance_check(mf, unitary, max_degree, tolerance=None):
@@ -244,6 +292,9 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
     `permutation_magic_unitary` relabels the word instead of summing;
     deviation 0 for every permutation unitary is classical exchangeability,
     passing a noncommutative unitary is the stronger quantum condition.
+    Any other unitary sums every word of a length in one `_coaction_sums`
+    call, with mf.value read once per word.  The witness is the first word,
+    in `itertools.product` order, with the worst deviation.
     A max_degree outside 1..mf.k_max raises BoundError (`_degree`).
     """
     _degree(mf, max_degree)
@@ -258,15 +309,23 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
     worst = unitary.distance(unitary.zero, unitary.zero)
     witness = None
     perm = unitary.permutation()
+    labels = range(1, unitary.n + 1)
     for k in range(1, max_degree + 1):
-        finest = SetPartition.singletons(k)
-        for j_word in itertools.product(range(1, unitary.n + 1), repeat=k):
-            if perm is not None:
-                # the coaction sum collapses to a relabeling of the word
-                dev = abs(mf.value(tuple(perm[x - 1] for x in j_word)) - mf.value(j_word))
-            else:
-                lhs = _coaction_sum(unitary, j_word, finest, mf.value)
-                dev = unitary.distance(lhs, unitary.scalar(mf.value(j_word)) * unitary.one)
+        words = list(itertools.product(labels, repeat=k))
+        if perm is not None:
+            # the coaction sum collapses to a relabeling of the word
+            deviations = [
+                abs(mf.value(tuple(perm[x - 1] for x in j_word)) - mf.value(j_word))
+                for j_word in words
+            ]
+        else:
+            values = np.array(
+                [unitary.scalar(mf.value(j_word)) for j_word in words], dtype=unitary.stack.dtype
+            )
+            sums = _coaction_sums(unitary, SetPartition.singletons(k), [labels] * k, values)
+            expected = values[:, None, None] * unitary.one
+            deviations = np.abs(sums - expected).max(axis=(1, 2)).tolist()
+        for j_word, dev in zip(words, deviations):
             if dev > worst:
                 worst = dev
                 witness = j_word
@@ -301,7 +360,8 @@ def block_sum_identity(unitary, pi, j_word):
     fixed-point lemma behind free de Finetti).  For a crossing pi it holds
     for commuting blocks, as for every permutation unitary, but not in
     general: the two-projection unitary at theta = pi/5 breaks it at
-    pi = 1,3|2,4, j = (1, 3, 1, 3).
+    pi = 1,3|2,4, j = (1, 3, 1, 3).  The sum is `_coaction_sums` on a batch
+    of one word: a block scalar when exact, a d x d array otherwise.
     """
     j_word = tuple(j_word)
     if len(j_word) != pi.ground_size:
@@ -310,7 +370,8 @@ def block_sum_identity(unitary, pi, j_word):
         )
     if not all(1 <= x <= unitary.n for x in j_word):
         raise BoundError(f"labels out of range 1..{unitary.n}: {j_word}")
-    return _coaction_sum(unitary, j_word, pi, lambda i: 1)
+    total = _coaction_sums(unitary, pi, [(x,) for x in j_word])[0]
+    return total[0, 0] if unitary.exact else total
 
 
 def block_sum_matches_indicator(unitary, pi, j_word, tol=DEFAULT_TOL):

@@ -82,12 +82,12 @@ class SetPartition:
     @classmethod
     def singletons(cls, k):
         """The discrete partition 0_k."""
-        return cls([(x,) for x in range(1, k + 1)])
+        return cls([(x,) for x in range(1, _integer("k", k) + 1)])
 
     @classmethod
     def full(cls, k):
         """The one-block partition 1_k."""
-        return cls([tuple(range(1, k + 1))])
+        return cls([tuple(range(1, _integer("k", k) + 1))])
 
     @classmethod
     def from_text(cls, text):

@@ -587,6 +587,9 @@ class TestJsonInputErrors:
             ({"alphabet": ["a"], "k_max": 2, "moments": {"a": "0", "a,a": "x"}},
              ["cumulants", "convert", "--moments", "@", "--word", "a,a"],
              "'a,a': 'x' is not a rational"),
+            ({"alphabet": ["a"], "k_max": 2.5, "moments": {"a": "0", "a,a": "1"}},
+             ["cumulants", "convert", "--moments", "@", "--word", "a,a"],
+             "k_max=2.5 must be an integer"),
             ({"alphabet": ["a", "b"], "k_max": 2, "moments": FREE},
              ["cumulants", "check-free", "--moments", "@", "--families", "a=1"],
              "no family for the letters ['b']"),
@@ -595,7 +598,7 @@ class TestJsonInputErrors:
              "moment word 'a'"),
         ],
         ids=["moments-missing", "cumulants-missing", "input-not-object", "moments-not-object",
-             "alphabet-not-array", "value-not-rational",
+             "alphabet-not-array", "value-not-rational", "k_max-not-integer",
              "letter-without-family", "labels-not-integers"],
     )
     def test_refused_with_one_error_line(self, capsys, tmp_path, data, argv, message):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qperm import cumulants
-from qperm.acceptance import ExperimentConfig, criterion_10_definetti_gap
+from qperm.acceptance import ExperimentConfig, _rich_spec, criterion_10_definetti_gap
 from qperm.cli import main
 from qperm.cumulants import CumulantSpec, free_iid_moment
 from qperm.errors import (
@@ -23,7 +23,7 @@ from qperm.errors import (
 )
 from qperm.exchange import (
     MagicUnitary,
-    _coaction_sum,
+    _coaction_sums,
     _free_vector,
     _gap_bound,
     _injection_weight,
@@ -377,37 +377,60 @@ class TestBlockSum:
 
 
 class TestCoactionSum:
+    UNITARIES = [
+        MagicUnitary(permutation_magic_unitary((3, 1, 4, 2)).blocks),
+        MagicUnitary(permutation_magic_unitary((2, 5, 1, 3, 4)).blocks),
+        two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA)),
+        two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.3)),
+    ]
+
+    @staticmethod
+    def same_bits(u, got, want):
+        return got[0, 0] == want if u.exact else got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_the_depth_first_and_labelling_oracles(self, k):
+        # raw permutation blocks: no recorded permutation, so no relabelling shortcut
         rng = random.Random(1300 + k)
-        unitaries = [
-            permutation_magic_unitary((3, 1, 4, 2)),
-            permutation_magic_unitary((2, 5, 1, 3, 4)),
-            two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA)),
-            two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.3)),
-        ]
-        finest = SetPartition.singletons(k)
-        for u in unitaries:
+        for u in self.UNITARIES:
             labels = range(1, u.n + 1)
-            values = {
-                i_word: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                for i_word in itertools.product(labels, repeat=k)
-            }
-            for _ in range(4):
-                j_word = tuple(rng.choice(labels) for _ in range(k))
-                got = _coaction_sum(u, j_word, finest, values.__getitem__)
+            words = list(itertools.product(labels, repeat=k))
+            values = {i_word: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for i_word in words}
+            table = np.array([u.scalar(values[i_word]) for i_word in words], dtype=u.stack.dtype)
+            sums = _coaction_sums(u, SetPartition.singletons(k), [labels] * k, table)
+            assert len(sums) == len(words)
+            for j_word, got in zip(words, sums):
                 want = word_sum_by_depth_first(values.__getitem__, u, j_word)
-                if u.exact:
-                    assert got == want
-                else:
-                    assert got.tobytes() == want.tobytes()
-                for pi in enumerate_partitions(k):
-                    got = _coaction_sum(u, j_word, pi, lambda i_word: 1)
+                assert self.same_bits(u, got, want), j_word
+            for pi in enumerate_partitions(k):
+                batch = _coaction_sums(u, pi, [labels] * k)
+                for j_word in rng.sample(words, min(4, len(words))):
+                    got = batch[words.index(j_word)]
+                    single = block_sum_identity(u, pi, j_word)
+                    assert self.same_bits(u, got, single), (pi, j_word)
                     want = block_sum_by_labelling(u, pi, j_word)
                     if u.exact:
-                        assert got == want
+                        assert single == want
                     else:
-                        assert np.max(np.abs(got - want)) <= 1e-12
+                        assert np.max(np.abs(single - want)) <= 1e-12
+
+    @pytest.mark.parametrize("criterion", [8, 11])
+    def test_invariance_check_equals_a_loop_over_the_oracle(self, criterion):
+        # criterion 11's witness is picked among 32 tied words by the last bits
+        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
+        if criterion == 8:
+            mf = free_iid_functional(_rich_spec(4), 4, 4)
+        else:
+            mf = tensor_iid_functional(bernoulli_moments(4), 4, 4)
+        worst, witness = 0.0, None
+        for k in range(1, 5):
+            for j_word in itertools.product(range(1, 5), repeat=k):
+                lhs = word_sum_by_depth_first(mf.value, u, j_word)
+                dev = u.distance(lhs, u.scalar(mf.value(j_word)) * u.one)
+                if dev > worst:
+                    worst, witness = dev, j_word
+        report = invariance_check(mf, u, max_degree=4)
+        assert (repr(report.max_deviation), report.witness) == (repr(worst), witness)
 
 
 class TestUrnMoments:

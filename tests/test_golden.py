@@ -14,6 +14,9 @@ exactly.  Some of them come from numpy products of 2 x 2 complex matrices
 `magic invariance --theta` deviation), whose last bits may differ between
 platforms and BLAS builds.  The rest are exact rationals printed with four
 decimals, so the tolerance lets none of their printed digits change.
+Criterion 11's witness (1, 3, 2, 3) is not a float, yet it depends on last
+bits too: 32 words tie at sin^2(2 theta)/2, and one ulp makes it win over
+(1, 3, 1, 3), so the float tolerance does not cover it.
 
 Left out on purpose: `reproduce-all --n-range 4..5`.  It exits 2 because
 criterion 10's "second half <= first half" trend heuristic reads a two-point

@@ -16,6 +16,7 @@ import pytest
 import qperm
 from qperm import (
     CumulantSpec,
+    MomentFunctional,
     SetPartition,
     UrnModel,
     cesaro_variance,
@@ -103,6 +104,10 @@ SIZED_CALLS = [
     ("enumerate_partitions k", 4, enumerate_partitions),
     ("UrnModel n", 6, lambda s: definetti_gap(UrnModel(s, [1, 1, 1, 0, 0, 0]), (1, 2, 1, 2))),
     ("cesaro_variance n", 5, lambda s: cesaro_variance(SEMICIRCLE, s)),
+    ("SetPartition.full k", 3, SetPartition.full),
+    ("SetPartition.singletons k", 3, SetPartition.singletons),
+    ("MomentFunctional k_max", 2, lambda s: MomentFunctional(("a",), s, {("a",): Fraction(1)})),
+    ("CumulantSpec k_max", 2, lambda s: CumulantSpec(("c",), s, {("c", "c"): Fraction(1)})),
 ]
 
 
