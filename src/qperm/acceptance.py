@@ -1,7 +1,7 @@
 """The acceptance experiments, runnable as a suite.
 
-Each criterion function performs one end-to-end check at its stated
-tolerance and returns a CriterionResult; `run_all` executes the full
+Each criterion function performs one end-to-end check against its stated
+requirement and returns a CriterionResult; `run_all` executes the full
 battery.  Both take one ExperimentConfig, whose k_max and top of n_range
 only ever trim a criterion's own sweep, for smoke runs.
 Brute-force oracles used here are written against the raw definitions,
@@ -26,7 +26,6 @@ from .cumulants import (
 )
 from .errors import InvariantViolation, QpermError, SingularGramError
 from .exchange import (
-    DEFAULT_TOL,
     UrnModel,
     bernoulli_moments,
     block_sum_matches_indicator,
@@ -34,9 +33,9 @@ from .exchange import (
     definetti_gap,
     free_iid_functional,
     invariance_check,
+    line_projection,
     permutation_deviation,
     permutation_magic_unitary,
-    rotated_projection,
     tensor_iid_functional,
     two_projection_magic_unitary,
 )
@@ -54,19 +53,18 @@ from .weingarten import _no_growth, check_inverse, haar_moment, weingarten_asymp
 NC_COUNTS = (1, 2, 5, 14, 42, 132, 429)
 BELL_COUNTS = (1, 2, 5, 15, 52, 203, 877)
 
-#: The two-projection angle of criteria 8 and 11, one of criterion 9's pool.
-THETA = math.pi / 5
+#: The two-projection lines of criterion 9's pool; criteria 8 and 11 take the first.
+LINES = ((3, 4), (4, 3), (5, 12))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The four settings of `qperm reproduce-all`, whose defaults are
+    """The three settings of `qperm reproduce-all`, whose defaults are
     written here only.  k_max and the top of n_range trim the sweep each
     criterion fixes for itself; they never widen it."""
 
     k_max: int = K_MAX
     n_range: tuple = (4, 60)  # covers the widest acceptance sweep
-    tolerance: float = DEFAULT_TOL
     seed: int = 20260808
 
     def __post_init__(self):
@@ -75,8 +73,6 @@ class ExperimentConfig:
         if self.n_range[0] != 4 or self.n_range[1] < 4:
             raise QpermError("n_range must be 4..HI with HI >= 4: the sweeps keep their "
                              "own starts, and only the top HI trims them")
-        if self.tolerance < 0:
-            raise QpermError("tolerance must be >= 0")
 
     def ns(self, hi):
         """A criterion's sweep n = 4..hi, trimmed to the top of n_range."""
@@ -326,24 +322,23 @@ def _rich_spec(k_max=4):
 
 @_criterion(8, "free implies quantum exchangeable")
 def criterion_8_free_implies_invariant(config):
-    k_hi, tol = min(4, config.k_max), config.tolerance
+    k_hi = min(4, config.k_max)
     spec = _rich_spec(k_hi)
     functionals = {n: free_iid_functional(spec, n, k_hi) for n in (4, 5)}
-    worst_exact = max(permutation_deviation(mf, k_hi) for mf in functionals.values())
-    u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
-    worst_complex = invariance_check(functionals[4], u2, max_degree=k_hi).max_deviation
+    worst_perm = max(permutation_deviation(mf, k_hi) for mf in functionals.values())
+    u2 = two_projection_magic_unitary(np.diag([1, 0]), line_projection(*LINES[0]))
+    worst_quantum = invariance_check(functionals[4], u2, max_degree=k_hi).max_deviation
     return (
-        worst_exact == 0 and worst_complex <= tol,
-        f"permutation deviation {worst_exact}, two-projection deviation {worst_complex:.2e}",
-        f"0 exactly for rational unitaries; <= {tol} for the two-projection unitary",
+        worst_perm == 0 and worst_quantum == 0,
+        f"permutation deviation {worst_perm}, two-projection deviation {worst_quantum}",
+        "0 exactly for every permutation unitary and the two-projection unitary",
     )
 
 
 @_criterion(9, "block-sum identity")
 def criterion_9_block_sum_identity(config):
-    cells, k_hi, tol, seed = 200, min(5, config.k_max), config.tolerance, config.seed
+    cells, k_hi, seed = 200, min(5, config.k_max), config.seed
     rng = random.Random(seed)
-    theta_pool = [THETA, 1.3, 0.4]
     bad = 0
     for _ in range(cells):
         k = rng.randint(1, k_hi)
@@ -352,16 +347,15 @@ def criterion_9_block_sum_identity(config):
             n = rng.randint(2, 5)
             u = permutation_magic_unitary(tuple(rng.sample(range(1, n + 1), n)))
         else:
-            u = two_projection_magic_unitary(
-                np.diag([1.0, 0.0]), rotated_projection(rng.choice(theta_pool))
-            )
+            line = line_projection(*rng.choice(LINES))
+            u = two_projection_magic_unitary(np.diag([1, 0]), line)
         j_word = tuple(rng.randint(1, u.n) for _ in range(k))
-        if not block_sum_matches_indicator(u, pi, j_word, tol=tol):
+        if not block_sum_matches_indicator(u, pi, j_word):
             bad += 1
     return (
         bad == 0,
         f"{cells} randomized cells (seed {seed}), {bad} failures",
-        f"sum equals indicator exactly / within {tol}, k <= {k_hi}",
+        f"sum equals indicator exactly, k <= {k_hi}",
     )
 
 
@@ -410,14 +404,18 @@ def criterion_11_classical_quantum_separation(config):
     degree = 4
     mf = tensor_iid_functional(bernoulli_moments(degree), 4, degree)
     worst_perm = permutation_deviation(mf, degree)
-    u2 = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
+    a, b = LINES[0]
+    u2 = two_projection_magic_unitary(np.diag([1, 0]), line_projection(a, b))
     report = invariance_check(mf, u2, max_degree=degree)
+    # sin^2(2 theta) / 2 for the angle theta of the line, at the witness (1, 3, 1, 3)
+    closed_form = Fraction(2 * a * a * b * b, (a * a + b * b) ** 2)
     return (
-        worst_perm == 0 and report.max_deviation > 1e-3,
+        worst_perm == 0 and report.max_deviation == closed_form,
         f"permutation deviation {worst_perm}; two-projection deviation "
-        f"{report.max_deviation:.4f} at word {report.witness}",
+        f"{report.max_deviation} at word {report.witness}",
         "tensor Bernoulli passes every permutation unitary exactly but fails the "
-        "two-projection unitary at degree 4 with deviation > 1e-3",
+        f"two-projection unitary on the line through {LINES[0]} at degree 4 with "
+        f"deviation exactly 2a^2 b^2/(a^2 + b^2)^2 = {closed_form}",
     )
 
 

@@ -29,12 +29,11 @@ from .cumulants import (
 )
 from .errors import DomainError, InvariantViolation, QpermError
 from .exchange import (
-    DEFAULT_TOL,
     UrnModel,
     definetti_gap,
     invariance_check,
+    line_projection,
     permutation_magic_unitary,
-    rotated_projection,
     two_projection_magic_unitary,
     urn_moment_classical,
     urn_moment_quantum,
@@ -93,10 +92,13 @@ def _load_json(path):
 
 
 def _unitary_from_flags(args):
-    """The magic unitary of --perm or --theta; argparse requires exactly one."""
+    """The magic unitary of --perm or --line; argparse requires exactly one."""
     if args.perm is not None:
         return permutation_magic_unitary(_parse_ints(args.perm))
-    return two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(args.theta))
+    line = _parse_ints(args.line)
+    if len(line) != 2:
+        raise QpermError(f"bad line {args.line!r}, expected A,B")
+    return two_projection_magic_unitary(np.diag([1, 0]), line_projection(*line))
 
 
 def cmd_partitions_enum(args):
@@ -241,9 +243,9 @@ def cmd_urn_gap(args):
 
 def cmd_magic_validate(args):
     unitary = _unitary_from_flags(args)
-    violations = unitary.violations(tol=args.tol)
-    results = {"n": unitary.n, "d": unitary.d, "exact": unitary.exact, "violations": violations}
-    config = {"perm": args.perm, "theta": args.theta, "tol": args.tol}
+    violations = unitary.violations()
+    results = {"n": unitary.n, "d": unitary.d, "violations": violations}
+    config = {"perm": args.perm, "line": args.line}
     return config, results, not violations, None
 
 
@@ -265,17 +267,14 @@ def _label_functional_from_json(data, n):
 def cmd_magic_invariance(args):
     unitary = _unitary_from_flags(args)
     mf = _label_functional_from_json(_load_json(args.moments), unitary.n)
-    report = invariance_check(mf, unitary, max_degree=args.degree, tolerance=args.tol)
+    report = invariance_check(mf, unitary, max_degree=args.degree)
     results = {
-        "max_deviation": str(report.max_deviation)
-        if unitary.exact
-        else float(report.max_deviation),
+        "max_deviation": str(report.max_deviation),
         "witness": list(report.witness) if report.witness else None,
         "degree": report.degree,
-        "tolerance": report.tolerance,
     }
-    config = {"perm": args.perm, "theta": args.theta, "moments": args.moments,
-              "degree": args.degree, "tol": args.tol}
+    config = {"perm": args.perm, "line": args.line, "moments": args.moments,
+              "degree": args.degree}
     return config, results, report.passed, None
 
 
@@ -330,7 +329,6 @@ def cmd_reproduce_all(args):
     config_obj = ExperimentConfig(
         k_max=args.k_max,
         n_range=(lo, hi),
-        tolerance=args.tol,
         seed=args.seed,
     )
     if args.timings:
@@ -431,23 +429,20 @@ def build_parser():
     m_val = magic_sub.add_parser("validate")
     m_val_unitary = m_val.add_mutually_exclusive_group(required=True)
     m_val_unitary.add_argument("--perm", help="comma-separated images, e.g. 2,1,3")
-    m_val_unitary.add_argument("--theta", type=float, help="two-projection angle")
-    m_val.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    m_val_unitary.add_argument("--line", help="two-projection line A,B, e.g. 3,4")
     m_val.set_defaults(handler=cmd_magic_validate)
     m_inv = magic_sub.add_parser("invariance")
     m_inv_unitary = m_inv.add_mutually_exclusive_group(required=True)
     m_inv_unitary.add_argument("--perm")
-    m_inv_unitary.add_argument("--theta", type=float)
+    m_inv_unitary.add_argument("--line")
     m_inv.add_argument("--moments", required=True, help="label-indexed MomentFunctional JSON")
     m_inv.add_argument("--degree", type=int, required=True)
-    m_inv.add_argument("--tol", type=float)
     m_inv.set_defaults(handler=cmd_magic_invariance)
 
     p_rep = sub.add_parser("reproduce-all", help="run the full acceptance battery")
     defaults = ExperimentConfig()
     p_rep.add_argument("--k-max", type=int, default=defaults.k_max)
     p_rep.add_argument("--n-range", default="{}..{}".format(*defaults.n_range))
-    p_rep.add_argument("--tol", type=float, default=defaults.tolerance)
     p_rep.add_argument("--seed", type=int, default=defaults.seed)
     p_rep.add_argument("--csv", action="store_true")
     p_rep.add_argument(

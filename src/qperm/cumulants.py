@@ -266,9 +266,10 @@ def free_iid_moment(spec, letters, labels):
 
 def _degree(mf, max_degree):
     """max_degree, or mf.k_max for None: the longest word a verdict on mf
-    reads.  One outside 1..mf.k_max raises BoundError, as a verdict that
+    reads.  A max_degree that is not an integer raises DomainError
+    (`_integer`), and one outside 1..mf.k_max BoundError, as a verdict that
     reads no word would say nothing."""
-    degree = mf.k_max if max_degree is None else max_degree
+    degree = mf.k_max if max_degree is None else _integer("max_degree", max_degree)
     if not 1 <= degree <= mf.k_max:
         raise BoundError(f"max_degree {degree} outside 1..{mf.k_max}, the functional's k_max")
     return degree

@@ -3,16 +3,16 @@ and the finite de Finetti gap experiment.
 
 The noncommutative urn x_j = sum_i lambda_i u_ij is realized purely at the
 level of moments through the Haar integration formula; no Hilbert-space
-operators are constructed.  Permutation magic unitaries and urn moments
-are exact rationals; complex-projection magic unitaries carry a stated
-absolute tolerance (default 1e-9).  `MagicUnitary` reads that arithmetic
-off its blocks (`*` or `@`, exact comparison or a tolerance) and holds
-them stacked in one array.  Every coaction sum, the invariance check's
-sum_i M(i) u_{i1 j1}...u_{ik jk} and the block sum over the index words i
-with pi <= ker i, goes through one level-order kernel (`_coaction_sums`):
-a batch of words of one length is summed with one stacked `@` per position,
-every product and every sum formed in the order of a depth-first walk over
-the nonzero blocks, so that the floats are the walk's to the bit.
+operators are constructed.  Everything here is exact.  A `MagicUnitary`
+holds its blocks u_ij as one int64 array of s u_ij over a common
+denominator s: a permutation has d = 1 and s = 1, and the two-projection
+unitary on the line through (3, 4) has d = 2 and s = 25.  Every coaction
+sum, the invariance check's sum_i M(i) u_{i1 j1}...u_{ik jk} and the block
+sum over the index words i with pi <= ker i, goes through one level-order
+kernel (`_coaction_sums`): a batch of words of one length is summed in
+integers with one stacked `@` per position, and compared with its target
+scaled by s^k.  A cell whose integers could leave int64 is refused up front
+with BoundError.
 
 Classical exchangeability is decided exactly: a relabelling maps one word
 onto another exactly when the two share a kernel, so invariance under every
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from operator import matmul, mul
+from operator import mul
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .partitions import (
     SetPartition,
     _check_k,
     _check_n,
+    _integer,
     _mobius_column,
     _nc_below,
     _record_build,
@@ -50,110 +51,74 @@ from .partitions import (
 )
 from .weingarten import _weingarten_pair, dk_value
 
-DEFAULT_TOL = 1e-9
-
 #: The most block products one pass of `_coaction_sums` holds at once.
 _LEAVES = 1 << 10
+
+#: The first integer int64 cannot hold.
+_INT64_LIMIT = 1 << 63
 
 
 class MagicUnitary:
     """n x n array of d x d projection blocks with magic row/column sums.
 
-    The block arithmetic is read from the blocks: rational scalars make an
-    exact instance (d = 1, `*`, exact comparison whatever the tolerance),
-    square arrays of one shape a numeric one (complex, `@`, comparison within
-    a tolerance, default 1e-9).  Mixed blocks raise DimensionError, scalars
-    that are not rational DomainError.
+    `stack` is the int64 array of shape (n, n, d, d) holding s times the
+    blocks, over the common denominator s = `scale`.  The constructor takes
+    that array, or an (n, n) one for d = 1, and the scale: an array that is
+    not square raises DimensionError, one that does not hold integers (floats
+    among them) DomainError.
     """
 
-    def __init__(self, blocks):
-        rows = [list(r) for r in blocks]
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise DimensionError("blocks must form a square array")
-        arrays = sum(isinstance(x, np.ndarray) for r in rows for x in r)
-        if 0 < arrays < n * n:
-            raise DimensionError("blocks must be all scalars or all matrices")
-        self.exact = arrays == 0
+    def __init__(self, stack, scale=1):
+        try:
+            stack = np.asarray(stack)
+        except ValueError:
+            raise DimensionError("blocks must be all scalars or all matrices of one shape") from None
+        if stack.ndim == 2:
+            stack = stack[:, :, None, None]
+        if stack.ndim != 4 or not stack.size or stack.shape[0] != stack.shape[1] or (
+            stack.shape[2] != stack.shape[3]
+        ):
+            raise DimensionError("blocks must form a square array of square blocks of one shape")
+        if stack.dtype.kind != "i":
+            raise DomainError(f"blocks must be integers over a common scale, got {stack.dtype}")
+        self.scale = _integer("scale", scale)
+        if self.scale < 1:
+            raise DomainError(f"scale={scale} must be positive")
+        self.stack = stack.astype(np.int64)
+        self.n, self.d = stack.shape[1:3]
+        self._nonzero = self.stack.any(axis=(2, 3))
+        # bounds every entry of s u, and s itself, for `_coaction_sums`
+        self._entry = max(self.scale, int(np.abs(self.stack).max()))
         self._permutation = None
-        # `stack` holds the blocks as one (n, n, d, d) array, of Fractions when
-        # exact; a structural zero is exactly 0, or has no entry above 1e-14
-        if self.exact:
-            if not all(isinstance(x, Rational) for r in rows for x in r):
-                raise DomainError("scalar blocks must be rational")
-            self.d = 1
-            self.blocks = tuple(tuple(Fraction(x) for x in r) for r in rows)
-            self.stack = np.array(self.blocks, dtype=object).reshape(n, n, 1, 1)
-            self._nonzero = self.stack[:, :, 0, 0] != 0
-            self.one, self.zero = Fraction(1), Fraction(0)
-            self.mul, self.scalar = mul, Fraction
-            self.adjoint = lambda a: a
-        else:
-            arrs = [[np.asarray(x, dtype=complex) for x in r] for r in rows]
-            shape = arrs[0][0].shape
-            if len(shape) != 2 or shape[0] != shape[1] or any(
-                a.shape != shape for r in arrs for a in r
-            ):
-                raise DimensionError("blocks must be square matrices of one shape")
-            self.d = shape[0]
-            self.blocks = tuple(tuple(r) for r in arrs)
-            self.stack = np.array(arrs)
-            self._nonzero = np.abs(self.stack).max(axis=(2, 3)) > 1e-14
-            self.one = np.eye(self.d, dtype=complex)
-            self.zero = np.zeros((self.d, self.d), dtype=complex)
-            self.mul, self.scalar = matmul, complex
-            self.adjoint = lambda a: a.conj().T
-        self.n = n
-
-    def distance(self, a, b):
-        """|a - b| exactly, or the largest entry of |a - b| as a float."""
-        if self.exact:
-            return abs(a - b)
-        return float(np.max(np.abs(a - b)))
-
-    def tolerance(self, tol=DEFAULT_TOL):
-        """The tolerance block comparisons use: 0 for exact instances,
-        whatever tol says, and tol otherwise."""
-        return 0 if self.exact else tol
-
-    def block(self, i, j):
-        return self.blocks[i - 1][j - 1]
-
-    def block_is_zero(self, i, j):
-        return not self._nonzero[i - 1, j - 1]
 
     def permutation(self):
         """The permutation `permutation_magic_unitary` recorded, or None:
         nothing is read off the blocks."""
         return self._permutation
 
-    def violations(self, tol=DEFAULT_TOL):
-        """All failures of the magic relations, as human-readable strings."""
-        tol = self.tolerance(tol)
-        close = lambda a, b: self.distance(a, b) <= tol
+    def violations(self):
+        """All failures of the magic relations, as human-readable strings.
+        The blocks are compared exactly, in Python integers: su is a
+        projection when (su)(su) = s(su) and su is symmetric."""
+        u = self.stack.astype(object)
+        s, idx = self.scale, range(self.n)
         out = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                u = self.block(i, j)
-                if not close(self.mul(u, u), u) or not close(self.adjoint(u), u):
-                    out.append(f"block ({i},{j}) is not a projection")
-        for i in range(1, self.n + 1):
-            for k in range(1, self.n + 1):
-                for l in range(k + 1, self.n + 1):
-                    if not close(self.mul(self.block(i, k), self.block(i, l)), self.zero):
-                        out.append(f"row {i}: blocks {k},{l} not orthogonal")
-                    if not close(self.mul(self.block(k, i), self.block(l, i)), self.zero):
-                        out.append(f"column {i}: blocks {k},{l} not orthogonal")
-        for i in range(1, self.n + 1):
-            row_sum = self.block(i, 1)
-            col_sum = self.block(1, i)
-            for k in range(2, self.n + 1):
-                row_sum = row_sum + self.block(i, k)
-                col_sum = col_sum + self.block(k, i)
-            if not close(row_sum, self.one):
-                out.append(f"row {i} does not sum to the identity")
-            if not close(col_sum, self.one):
-                out.append(f"column {i} does not sum to the identity")
+        for i, j in itertools.product(idx, idx):
+            b = u[i, j]
+            if (b @ b != s * b).any() or (b.T != b).any():
+                out.append(f"block ({i + 1},{j + 1}) is not a projection")
+        for i, k in itertools.product(idx, idx):
+            for l in range(k + 1, self.n):
+                if (u[i, k] @ u[i, l]).any():
+                    out.append(f"row {i + 1}: blocks {k + 1},{l + 1} not orthogonal")
+                if (u[k, i] @ u[l, i]).any():
+                    out.append(f"column {i + 1}: blocks {k + 1},{l + 1} not orthogonal")
+        one = s * np.eye(self.d, dtype=object)
+        for i in idx:
+            if (u[i].sum(axis=0) != one).any():
+                out.append(f"row {i + 1} does not sum to the identity")
+            if (u[:, i].sum(axis=0) != one).any():
+                out.append(f"column {i + 1} does not sum to the identity")
         return out
 
 
@@ -163,79 +128,105 @@ def permutation_magic_unitary(perm):
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"not a permutation of 1..{n}: {perm}")
-    one, zero = Fraction(1), Fraction(0)
-    blocks = [[one if i == perm[j - 1] else zero for j in range(1, n + 1)] for i in range(1, n + 1)]
-    unitary = MagicUnitary(blocks)
+    unitary = MagicUnitary(np.eye(n, dtype=np.int64)[:, [x - 1 for x in perm]])
     unitary._permutation = perm
     return unitary
 
 
-def rotated_projection(theta):
-    """Rank-one projection onto the line at angle theta in R^2."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
+def line_projection(a, b):
+    """Rank-one projection onto the line through (a, b) in Q^2, as a 2 x 2
+    array of Fractions: [[a^2, ab], [ab, b^2]] / (a^2 + b^2)."""
+    if not (isinstance(a, Rational) and isinstance(b, Rational)) or a == b == 0:
+        raise DomainError(f"a line needs rationals (a, b) != (0, 0), got ({a}, {b})")
+    a, b = Fraction(a), Fraction(b)
+    norm = a * a + b * b
+    aa, ab, bb = (x / norm for x in (a * a, a * b, b * b))
+    return np.array([[aa, ab], [ab, bb]], dtype=object)
 
 
 def two_projection_magic_unitary(p, q):
     """The 4 x 4 block pattern [[p,1-p,0,0],[1-p,p,0,0],[0,0,q,1-q],[0,0,1-q,q]].
 
-    Noncommutative whenever p and q do not commute; this is the smallest
-    concrete witness separating quantum from classical exchangeability.
+    p and q are d x d arrays of rationals, checked exactly to be projections
+    (DomainError otherwise, and for a float entry); the blocks share the lcm
+    s of the entries' denominators, and an s of 2^63 or more raises
+    BoundError.  Noncommutative whenever p and q do not commute; this is the
+    smallest concrete witness separating quantum from classical
+    exchangeability.
     """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
+    p, q = np.array(p, dtype=object), np.array(q, dtype=object)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionError("p and q must be square matrices of equal size")
+    entries = [*p.flat, *q.flat]
+    if not all(isinstance(x, Rational) for x in entries):
+        raise DomainError("p and q must have rational entries")
+    s = math.lcm(*(x.denominator for x in entries))
+    # s p and s q in Python integers: a (s a) = s (s a) is a a = a
+    p, q = (
+        np.array([x.numerator * (s // x.denominator) for x in a.flat], dtype=object).reshape(a.shape)
+        for a in (p, q)
+    )
     for name, a in (("p", p), ("q", q)):
-        if np.max(np.abs(a @ a - a)) > DEFAULT_TOL or np.max(np.abs(a.conj().T - a)) > DEFAULT_TOL:
+        if (a @ a != s * a).any() or (a.T != a).any():
             raise DomainError(f"{name} is not a projection")
-    one = np.eye(p.shape[0], dtype=complex)
-    z = np.zeros_like(one)
+    if s >= _INT64_LIMIT:
+        raise BoundError(f"common denominator {s} of p and q reaches 2^63, the int64 limit")
+    one = s * np.eye(p.shape[0], dtype=np.int64)
+    p, q = p.astype(np.int64), q.astype(np.int64)
+    z = 0 * one
     blocks = [
         [p, one - p, z, z],
         [one - p, p, z, z],
         [z, z, q, one - q],
         [z, z, one - q, q],
     ]
-    return MagicUnitary(blocks)
+    return MagicUnitary(blocks, s)
 
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    max_deviation: object
+    max_deviation: Fraction
     witness: tuple
     degree: int
-    tolerance: object
     passed: bool
 
 
 def _coaction_sums(unitary, pi, letters, values=None):
     """For each word j of `itertools.product(*letters)`, of length
     k = pi.ground_size, the sum over the index words i with pi <= ker i of
-    values[i] * U_{i1 j1} ... U_{ik jk}, as an array of the words' d x d
-    sums in that order, in the block arithmetic of `unitary` (1 x 1 arrays
-    of Fractions when exact).  letters holds k label sequences of one
-    length; values is an array of the scalars of the index words in
+    values[i] * S_{i1 j1} ... S_{ik jk}, with S the integer blocks s u of
+    `unitary`: s^k times the coaction sum, as an int64 array of the words'
+    d x d sums in that order.  letters holds k label sequences of one length;
+    values is a sequence of the integer scalars of the index words in
     `itertools.product` order, and None weighs each of them by 1.
 
     Level order: the leaves form a grid with one axis per block of pi, in
     the order of first positions, over the (letters at the block's
-    positions, label) pairs whose blocks are all nonzero, labels n..1.
-    Level t multiplies every product of the positions before t by its block
-    at t, one stacked `@` from `unitary.one`, so each product is formed left
-    to right.  Each word then adds its leaves one at a time to zero
-    (`np.add.at`), i in descending lexicographic order: every product, the
-    order and so every bit of the sums are those of a depth-first walk per
-    word that pushes the labels 1..n and pops the last pushed first.
+    positions, label) pairs whose blocks are all nonzero.  Level t
+    multiplies every product of the positions before t by its block at t,
+    one stacked `@` from the identity, and each word adds its leaves
+    (`np.add.at`); integer sums are exact in any order.
+
+    Each of the n^|pi| terms, and the target s^k values[j] a caller compares
+    a sum with, is at most m^k d^(k-1) max(1, max|values|) in absolute value,
+    with m = max(s, max|S|) (`unitary._entry`).  A cell whose n^|pi| + 1
+    such terms could reach 2^63 is refused with BoundError before any
+    product is formed: numpy integers wrap silently.
     """
-    n, k = unitary.n, pi.ground_size
+    n, k, d = unitary.n, pi.ground_size, unitary.d
+    top = max(1, max(map(abs, values), default=0)) if values is not None else 1
+    bound = (n ** len(pi.blocks) + 1) * unitary._entry**k * d ** (k - 1) * top
+    if bound >= _INT64_LIMIT:
+        raise BoundError(
+            f"coaction sums at k={k} could reach {bound}, beyond 2^63, the int64 limit"
+        )
     letters = np.asarray(letters, dtype=np.intp) - 1
     m = letters.shape[1]
     shape = unitary.stack.shape[2:]
-    sums = np.full((m,) * k + shape, unitary.scalar(0), dtype=unitary.stack.dtype)
-    # by position, letter and label n..1: is the block nonzero, and the block
-    allowed = unitary._nonzero.T[letters][..., ::-1]
-    blocks = unitary.stack.transpose(1, 0, 2, 3)[letters][:, :, ::-1]
+    sums = np.zeros((m,) * k + shape, dtype=np.int64)
+    # by position, letter and label: is the block nonzero, and the block
+    allowed = unitary._nonzero.T[letters]
+    blocks = unitary.stack.transpose(1, 0, 2, 3)[letters]
     axes = len(pi.blocks)
     # by position: its block's axis, its block, and its letter index and
     # label along that axis
@@ -260,7 +251,9 @@ def _coaction_sums(unitary, pi, letters, values=None):
     lead = 0
     while math.prod(sizes[lead:]) > _LEAVES:
         lead += 1
-    one = np.asarray(unitary.one, dtype=unitary.stack.dtype).reshape(shape)
+    one = np.eye(d, dtype=np.int64)
+    if values is not None:
+        values = np.array(values, dtype=np.int64).reshape((n,) * k)
     for point in itertools.product(*map(range, sizes[:lead])):
         cut = [slice(x, x + 1) for x in point] + [slice(None)] * (axes - lead)
         prods, opened = one, 0
@@ -271,46 +264,40 @@ def _coaction_sums(unitary, pi, letters, values=None):
                 opened += 1
             else:
                 prods = prods @ factor.reshape(-1, *(1,) * (opened - 1 - axis), *shape)
-        if values is None:
-            terms = unitary.scalar(1) * prods
-        else:
+        if values is not None:
             at = tuple(g[cut[axis]] for (axis, _), g in zip(steps, label))
-            terms = np.flip(values.reshape((n,) * k))[at][..., None, None] * prods
-        np.add.at(sums, tuple(g[cut[axis]] for (axis, _), g in zip(steps, letter)), terms)
+            prods = values[at][..., None, None] * prods
+        np.add.at(sums, tuple(g[cut[axis]] for (axis, _), g in zip(steps, letter)), prods)
     return sums.reshape(-1, *shape)
 
 
-def invariance_check(mf, unitary, max_degree, tolerance=None):
+def invariance_check(mf, unitary, max_degree):
     """Worst deviation of the quantum-permutation invariance condition.
 
     For every word j of length 1..max_degree the coaction average
     sum_i mf(i) U_{i1 j1}...U_{ik jk} must equal mf(j) times the identity
-    block.  The comparison tolerance is `unitary.tolerance(tolerance)`
-    (`tolerance` defaults to 1e-9): exact unitaries are checked at 0
-    whatever `tolerance` says, and report tolerance 0; a negative
-    `tolerance` raises DomainError.  A unitary from
+    block.  The deviation is the largest entry of the difference, an exact
+    Fraction, and the check passes at 0.  A unitary from
     `permutation_magic_unitary` relabels the word instead of summing;
     deviation 0 for every permutation unitary is classical exchangeability,
     passing a noncommutative unitary is the stronger quantum condition.
     Any other unitary sums every word of a length in one `_coaction_sums`
-    call, with mf.value read once per word.  The witness is the first word,
-    in `itertools.product` order, with the worst deviation.
-    A max_degree outside 1..mf.k_max raises BoundError (`_degree`).
+    call, in integers: the moments of that length times the lcm L of their
+    denominators, each read once, give sums that are compared with s^k L
+    times the moments.  The witness is the first word, in
+    `itertools.product` order, with the worst deviation.  A max_degree
+    outside 1..mf.k_max raises (`_degree`), a moment that is not rational
+    DomainError, and a length whose integers could leave int64 BoundError.
     """
-    _degree(mf, max_degree)
+    degree = _degree(mf, max_degree)
     if tuple(mf.alphabet) != tuple(range(1, unitary.n + 1)):
         raise DimensionError(
             "moment functional must be indexed by the labels 1..n of the unitary"
         )
-    if tolerance is not None and tolerance < 0:
-        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
-    tol = unitary.tolerance(DEFAULT_TOL if tolerance is None else tolerance)
-    # 0 in the type the distances have
-    worst = unitary.distance(unitary.zero, unitary.zero)
-    witness = None
+    worst, witness = Fraction(0), None
     perm = unitary.permutation()
     labels = range(1, unitary.n + 1)
-    for k in range(1, max_degree + 1):
+    for k in range(1, degree + 1):
         words = list(itertools.product(labels, repeat=k))
         if perm is not None:
             # the coaction sum collapses to a relabeling of the word
@@ -318,24 +305,25 @@ def invariance_check(mf, unitary, max_degree, tolerance=None):
                 abs(mf.value(tuple(perm[x - 1] for x in j_word)) - mf.value(j_word))
                 for j_word in words
             ]
+            dev = max(deviations)
+            first = deviations.index(dev)
         else:
-            values = np.array(
-                [unitary.scalar(mf.value(j_word)) for j_word in words], dtype=unitary.stack.dtype
-            )
+            moments = [mf.value(j_word) for j_word in words]
+            if not all(isinstance(x, Rational) for x in moments):
+                raise DomainError("invariance needs rational moments")
+            den = math.lcm(*(x.denominator for x in moments))
+            values = [x.numerator * (den // x.denominator) for x in moments]
             sums = _coaction_sums(unitary, SetPartition.singletons(k), [labels] * k, values)
-            expected = values[:, None, None] * unitary.one
-            deviations = np.abs(sums - expected).max(axis=(1, 2)).tolist()
-        for j_word, dev in zip(words, deviations):
-            if dev > worst:
-                worst = dev
-                witness = j_word
-    return InvarianceReport(
-        max_deviation=worst,
-        witness=witness,
-        degree=max_degree,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
+            scale = unitary.scale**k
+            targets = np.multiply.outer(
+                scale * np.array(values, dtype=np.int64), np.eye(unitary.d, dtype=np.int64)
+            )
+            gaps = np.abs(sums - targets).max(axis=(1, 2))
+            first = int(np.argmax(gaps))
+            dev = Fraction(int(gaps[first]), scale * den)
+        if dev > worst:
+            worst, witness = dev, words[first]
+    return InvarianceReport(max_deviation=worst, witness=witness, degree=degree, passed=worst == 0)
 
 
 def permutation_deviation(mf, max_degree):
@@ -344,7 +332,7 @@ def permutation_deviation(mf, max_degree):
     exactly when the two share a kernel, so it is the largest spread
     max - min of mf.value over the words of one kernel class, for the
     lengths 1..max_degree.  0 is classical exchangeability.  A max_degree
-    outside 1..mf.k_max raises BoundError (`_degree`)."""
+    outside 1..mf.k_max raises (`_degree`)."""
     classes = {}
     for k in range(1, _degree(mf, max_degree) + 1):
         for word in itertools.product(mf.alphabet, repeat=k):
@@ -353,15 +341,16 @@ def permutation_deviation(mf, max_degree):
 
 
 def block_sum_identity(unitary, pi, j_word):
-    """sum over index words i with pi <= ker i of the block product.
+    """sum over index words i with pi <= ker i of the block product, in the
+    integers of `stack`: s^k times the sum, as a d x d int64 array
+    (`_coaction_sums` on a batch of one word).
 
     For pi in NC(k) an algebra identity forces the result to the identity
     when pi <= ker j and to zero otherwise, for every magic unitary (the
     fixed-point lemma behind free de Finetti).  For a crossing pi it holds
     for commuting blocks, as for every permutation unitary, but not in
-    general: the two-projection unitary at theta = pi/5 breaks it at
-    pi = 1,3|2,4, j = (1, 3, 1, 3).  The sum is `_coaction_sums` on a batch
-    of one word: a block scalar when exact, a d x d array otherwise.
+    general: the two-projection unitary on the line through (3, 4) breaks it
+    at pi = 1,3|2,4, j = (1, 3, 1, 3).
     """
     j_word = tuple(j_word)
     if len(j_word) != pi.ground_size:
@@ -370,14 +359,15 @@ def block_sum_identity(unitary, pi, j_word):
         )
     if not all(1 <= x <= unitary.n for x in j_word):
         raise BoundError(f"labels out of range 1..{unitary.n}: {j_word}")
-    total = _coaction_sums(unitary, pi, [(x,) for x in j_word])[0]
-    return total[0, 0] if unitary.exact else total
+    return _coaction_sums(unitary, pi, [(x,) for x in j_word])[0]
 
 
-def block_sum_matches_indicator(unitary, pi, j_word, tol=DEFAULT_TOL):
+def block_sum_matches_indicator(unitary, pi, j_word):
+    """Whether `block_sum_identity` is s^k times the identity when
+    pi <= ker j and zero otherwise."""
     got = block_sum_identity(unitary, pi, j_word)
-    expected = unitary.one if leq(pi, kernel(j_word)) else unitary.zero
-    return unitary.distance(got, expected) <= unitary.tolerance(tol)
+    want = unitary.scale**pi.ground_size if leq(pi, kernel(j_word)) else 0
+    return bool((got == want * np.eye(unitary.d, dtype=np.int64)).all())
 
 
 @dataclass(frozen=True)
@@ -605,12 +595,16 @@ def cesaro_variance(spec, n):
 
 def _label_functional(n, k_max, value):
     """MomentFunctional on the labels 1..n holding value(labels) at every
-    label word of length 1..k_max."""
-    moments = {
-        labels: value(labels)
-        for k in range(1, k_max + 1)
-        for labels in itertools.product(range(1, n + 1), repeat=k)
-    }
+    label word of length 1..k_max.  value must depend on the labels only
+    through their kernel: it is called once per kernel, at the first word
+    of that kernel in `itertools.product` order."""
+    by_kernel, moments = {}, {}
+    for k in range(1, k_max + 1):
+        for labels in itertools.product(range(1, n + 1), repeat=k):
+            ker = kernel(labels)
+            if ker not in by_kernel:
+                by_kernel[ker] = value(labels)
+            moments[labels] = by_kernel[ker]
     return MomentFunctional(alphabet=tuple(range(1, n + 1)), k_max=k_max, moments=moments)
 
 

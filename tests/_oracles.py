@@ -490,53 +490,65 @@ def all_permutation_magic_unitaries(n):
         yield permutation_magic_unitary(perm)
 
 
-def _block_arithmetic(unitary):
-    """(zero, one, product) of the unitary's blocks: Fractions and `*`, or
-    complex d x d arrays and `@`."""
-    if unitary.exact:
-        return Fraction(0), Fraction(1), operator.mul
-    d = unitary.d
-    return np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex), operator.matmul
+def two_projection_blocks(theta):
+    """The two-projection unitary in float64, p = diag(1, 0) and q the
+    projection onto the line at the angle theta, as a (4, 4, 2, 2) array of
+    blocks: the float route at angles no rational line reaches."""
+    c, s = math.cos(theta), math.sin(theta)
+    p, q = np.diag([1.0, 0.0]), np.array([[c * c, c * s], [c * s, s * s]])
+    one, z = np.eye(2), np.zeros((2, 2))
+    return np.array(
+        [[p, one - p, z, z], [one - p, p, z, z], [z, z, q, one - q], [z, z, one - q, q]]
+    )
 
 
-def word_sum_by_depth_first(value, unitary, j_word):
-    """sum_i value(i) U_{i1 j1} ... U_{ik jk} over every index word i, depth
-    first over the nonzero blocks: at each position the labels 1..n are
-    pushed in order and popped last in, first out.  Numeric unitaries take
-    value(i) as a complex number."""
-    n, k = unitary.n, len(j_word)
-    total, one, product = _block_arithmetic(unitary)
-    stack = [((), one)]
+def _exact_or_float(blocks):
+    """Integer blocks as Python integers, so that no product wraps; float
+    blocks as they are."""
+    return blocks.astype(object) if blocks.dtype.kind == "i" else blocks
+
+
+def word_sum_by_depth_first(value, blocks, j_word):
+    """sum_i value(i) B_{i1 j1} ... B_{ik jk} over every index word i, for an
+    (n, n, d, d) array of blocks B, depth first over the nonzero blocks: at
+    each position the labels 1..n are pushed in order and popped last in,
+    first out.  Float blocks take value(i) as a float."""
+    blocks = _exact_or_float(blocks)
+    n, d, k = blocks.shape[0], blocks.shape[2], len(j_word)
+    total = np.zeros((d, d), dtype=blocks.dtype)
+    stack = [((), np.eye(d, dtype=blocks.dtype))]
     while stack:
         prefix, prod = stack.pop()
         t = len(prefix)
         if t == k:
             weight = value(prefix)
-            if not unitary.exact:
-                weight = complex(weight)
-            total = total + weight * prod
+            total = total + (float(weight) if blocks.dtype.kind == "f" else weight) * prod
             continue
         for i in range(1, n + 1):
-            if unitary.block_is_zero(i, j_word[t]):
-                continue
-            stack.append((prefix + (i,), product(prod, unitary.block(i, j_word[t]))))
+            block = blocks[i - 1, j_word[t] - 1]
+            if block.any():
+                stack.append((prefix + (i,), prod @ block))
     return total
 
 
-def block_sum_by_labelling(unitary, pi, j_word):
-    """sum over the index words i with pi <= ker i of U_{i1 j1} ... U_{ik jk},
-    over all n^|pi| labellings of the blocks of pi, one product each."""
-    total, one, product = _block_arithmetic(unitary)
-    for assignment in itertools.product(range(1, unitary.n + 1), repeat=len(pi.blocks)):
+def block_sum_by_labelling(blocks, pi, j_word):
+    """sum over the index words i with pi <= ker i of B_{i1 j1} ... B_{ik jk},
+    for an (n, n, d, d) array of blocks B, over all n^|pi| labellings of the
+    blocks of pi, one product each."""
+    blocks = _exact_or_float(blocks)
+    n, d = blocks.shape[0], blocks.shape[2]
+    total = np.zeros((d, d), dtype=blocks.dtype)
+    for assignment in itertools.product(range(1, n + 1), repeat=len(pi.blocks)):
         i_word = [0] * pi.ground_size
         for label, block in zip(assignment, pi.blocks):
             for x in block:
                 i_word[x - 1] = label
-        prod = one
+        prod = np.eye(d, dtype=blocks.dtype)
         for t, jt in enumerate(j_word):
-            if unitary.block_is_zero(i_word[t], jt):
+            block = blocks[i_word[t] - 1, jt - 1]
+            if not block.any():
                 break
-            prod = product(prod, unitary.block(i_word[t], jt))
+            prod = prod @ block
         else:
             total = total + prod
     return total

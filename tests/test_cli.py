@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import os
 import re
 import shlex
@@ -304,20 +303,17 @@ class TestMagicCli:
         assert report["results"]["violations"] == []
 
     def test_validate_two_projection(self, capsys):
-        code, report = run_json(
-            capsys, "magic", "validate", "--theta", str(math.pi / 5)
-        )
+        code, report = run_json(capsys, "magic", "validate", "--line", "3,4")
         assert code == 0
-        assert report["results"]["n"] == 4
-        assert report["results"]["d"] == 2
+        assert report["results"] == {"n": 4, "d": 2, "violations": []}
 
-    def test_validate_zero_tolerance_flags_rounding(self, capsys):
-        # floating-point projections cannot satisfy the relations exactly
-        code, report = run_json(
-            capsys, "magic", "validate", "--theta", str(math.pi / 5), "--tol", "0"
-        )
-        assert code == 2
-        assert report["results"]["violations"]
+    @pytest.mark.parametrize(
+        "line, message", [("3", "bad line"), ("3,4,5", "bad line"), ("0,0", "a line needs")]
+    )
+    def test_refuses_a_bad_line(self, capsys, line, message):
+        assert main(["magic", "validate", "--line", line]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_invariance_violation_exit_code(self, capsys, tmp_path):
         import itertools
@@ -332,13 +328,13 @@ class TestMagicCli:
         path.write_text(json.dumps(data))
         code, report = run_json(
             capsys,
-            "magic", "invariance", "--theta", str(math.pi / 5),
+            "magic", "invariance", "--line", "3,4",
             "--moments", str(path), "--degree", "4",
         )
         assert code == 2
         assert report["pass"] is False
-        assert report["results"]["max_deviation"] > 1e-3
-        assert report["results"]["tolerance"] == 1e-9
+        assert report["results"]["max_deviation"] == "288/625"
+        assert report["results"]["witness"] == [1, 3, 1, 3]
         code, report = run_json(
             capsys,
             "magic", "invariance", "--perm", "2,1,4,3",
@@ -346,23 +342,19 @@ class TestMagicCli:
         )
         assert code == 0
 
-    def test_exact_invariance_ignores_tol(self, capsys, tmp_path):
+    def test_exact_invariance_reports_the_deviation(self, capsys, tmp_path):
         # criterion 8's n = 4 functional, one word raised off its kernel class
         mf = free_iid_functional(_rich_spec(4), 4, 4)
         mf.moments[(1, 3, 2, 3)] += Fraction(1, 10)
         path = tmp_path / "mf.json"
         path.write_text(json.dumps(mf.to_json_dict()))
-        args = ("magic", "invariance", "--perm", "2,1,3,4", "--moments", str(path), "--degree", "4")
-        for tol in ((), ("--tol", "2")):
-            code, report = run_json(capsys, *args, *tol)
+        args = ("magic", "invariance", "--moments", str(path), "--degree", "4")
+        for unitary in (("--perm", "2,1,3,4"), ("--line", "3,4")):
+            code, report = run_json(capsys, *args, *unitary)
             assert code == 2
             assert report["pass"] is False
             assert report["results"]["max_deviation"] == "1/10"
             assert report["results"]["witness"] == [1, 3, 2, 3]
-            assert report["results"]["tolerance"] == 0
-        assert main([*args, "--tol=-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "tolerance must be >= 0" in captured.err
 
     @pytest.mark.parametrize("degree", ["0", "-1", "5"])
     def test_invariance_refuses_a_degree_outside_one_to_kmax(self, capsys, degree):
@@ -379,7 +371,7 @@ class TestReproduceAll:
     def test_smoke_config_passes(self, capsys):
         code, report = run_json(
             capsys,
-            "reproduce-all", "--k-max", "3", "--n-range", "4..6", "--tol", "1e-9",
+            "reproduce-all", "--k-max", "3", "--n-range", "4..6",
         )
         assert code == 0
         assert report["pass"] is True
@@ -427,18 +419,6 @@ class TestReproduceAll:
             "urn vector", "free vector",
         }
 
-    def test_zero_tolerance_flags_complex_checks_without_crashing(self, capsys):
-        code, report = run_json(
-            capsys,
-            "reproduce-all", "--k-max", "2", "--n-range", "4..5", "--tol", "0",
-        )
-        assert code == 2
-        assert report["pass"] is False
-        by_number = {entry["criterion"]: entry for entry in report["results"]}
-        # the two-projection deviation is ~1e-16 > 0: flagged, not a crash
-        assert by_number[8]["pass"] is False
-        assert by_number[1]["pass"] is True
-
     @pytest.mark.parametrize("n_range", ["10..12", "5..60", "2..8"])
     def test_refuses_a_bottom_other_than_four(self, capsys, n_range):
         # the sweeps start at their own n; echoing another LO would misreport the run
@@ -484,13 +464,13 @@ class TestUsageErrors:
                      "--letters", "c", "--labels", "1"]) == 1
 
     def test_conflicting_unitary_flags(self, capsys):
-        assert main(["magic", "validate", "--perm", "1,2", "--theta", "0.3"]) == 1
+        assert main(["magic", "validate", "--perm", "1,2", "--line", "3,4"]) == 1
 
     @pytest.mark.parametrize(
         "argv, flags",
         [
-            (["magic", "validate", "--perm", "2,1", "--theta", "0.3"], ("--perm", "--theta")),
-            (["magic", "validate"], ("--perm", "--theta")),
+            (["magic", "validate", "--perm", "2,1", "--line", "3,4"], ("--perm", "--line")),
+            (["magic", "validate"], ("--perm", "--line")),
             (["cumulants", "convert", "--spec", "S", "--moments", "M", "--word", "c"],
              ("--spec", "--moments")),
             (["cumulants", "convert", "--word", "c"], ("--spec", "--moments")),
@@ -612,13 +592,11 @@ class TestJsonInputErrors:
 
 class TestExperimentConfig:
     def test_validates(self):
-        ExperimentConfig(k_max=4, n_range=(4, 8), tolerance=0.0)
+        ExperimentConfig(k_max=4, n_range=(4, 8))
         with pytest.raises(QpermError):
             ExperimentConfig(k_max=0)
         with pytest.raises(QpermError):
             ExperimentConfig(n_range=(5, 4))
-        with pytest.raises(QpermError):
-            ExperimentConfig(tolerance=-1.0)
 
     def test_rational_round_trip(self):
         for q in [Fraction(3, 7), Fraction(-1, 12), Fraction(5), Fraction(0)]:

@@ -37,9 +37,9 @@ from qperm.exchange import (
     definetti_gap,
     free_iid_functional,
     invariance_check,
+    line_projection,
     permutation_deviation,
     permutation_magic_unitary,
-    rotated_projection,
     tensor_iid_functional,
     two_projection_magic_unitary,
     urn_moment_classical,
@@ -68,12 +68,18 @@ from _oracles import (
     injection_weight_by_assignment,
     marginal_free_cumulants,
     quantum_urn_by_kernel_loop,
+    two_projection_blocks,
     word_sum_by_depth_first,
 )
 
 P = SetPartition.from_text
 
-THETA = math.pi / 5
+EXCHANGE = importlib.import_module("qperm.exchange")
+
+
+def two_projection(a, b):
+    """The two-projection unitary of p = diag(1, 0) and the line through (a, b)."""
+    return two_projection_magic_unitary(np.diag([1, 0]), line_projection(a, b))
 
 
 def semicircular(k_max=8):
@@ -93,18 +99,14 @@ def marginal_moment(model, p):
 class TestMagicUnitary:
     def test_identity_permutation(self):
         u = permutation_magic_unitary((1, 2, 3))
-        assert u.exact and u.n == 3 and u.d == 1
-        for i in range(1, 4):
-            for j in range(1, 4):
-                assert u.block(i, j) == (1 if i == j else 0)
+        assert (u.n, u.d, u.scale) == (3, 1, 1)
+        assert u.stack[:, :, 0, 0].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert not u.violations()
 
     def test_transposition_pattern(self):
-        u = permutation_magic_unitary((2, 1, 3))
-        assert u.block(2, 1) == 1
-        assert u.block(1, 2) == 1
-        assert u.block(3, 3) == 1
-        assert sum(u.block(i, j) for i in range(1, 4) for j in range(1, 4)) == 3
+        blocks = permutation_magic_unitary((2, 1, 3)).stack[:, :, 0, 0]
+        assert blocks[1, 0] == blocks[0, 1] == blocks[2, 2] == 1
+        assert blocks.sum() == 3
 
     def test_all_permutation_unitaries_validate(self):
         for n in (1, 2, 3, 4):
@@ -116,44 +118,57 @@ class TestMagicUnitary:
             permutation_magic_unitary((1, 1, 3))
 
     def test_two_projection_commutative_case(self):
-        p = np.diag([1.0, 0.0])
+        p = np.diag([1, 0])
         u = two_projection_magic_unitary(p, p)
         assert not u.violations()
-        assert u.n == 4 and u.d == 2
+        assert (u.n, u.d, u.scale) == (4, 2, 1)
 
     def test_two_projection_generic_is_noncommutative_and_valid(self):
-        p = np.diag([1.0, 0.0])
-        q = rotated_projection(THETA)
+        p = np.diag([1, 0])
+        q = line_projection(3, 4)
         u = two_projection_magic_unitary(p, q)
         assert u.violations() == []
-        assert np.max(np.abs(p @ q - q @ p)) > 0.1
+        assert u.scale == 25
+        assert (p @ q != q @ p).any()
 
     def test_two_projection_rows_and_columns_sum_to_identity(self):
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(0.3))
-        for i in range(1, 5):
-            row = sum(u.block(i, j) for j in range(1, 5))
-            col = sum(u.block(j, i) for j in range(1, 5))
-            assert np.allclose(row, np.eye(2))
-            assert np.allclose(col, np.eye(2))
+        u = two_projection(5, 12)
+        one = u.scale * np.eye(2, dtype=np.int64)
+        for i in range(4):
+            assert (u.stack[i].sum(axis=0) == one).all()
+            assert (u.stack[:, i].sum(axis=0) == one).all()
 
     def test_non_projection_rejected(self):
-        with pytest.raises(DomainError):
-            two_projection_magic_unitary(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+        with pytest.raises(DomainError, match="p is not a projection"):
+            two_projection_magic_unitary(np.diag([2, 0]), np.diag([1, 0]))
+        with pytest.raises(DomainError, match="q is not a projection"):
+            two_projection_magic_unitary(np.diag([1, 0]), [[Fraction(1, 2), 0], [0, 0]])
+
+    def test_float_projections_rejected(self):
+        with pytest.raises(DomainError, match="rational"):
+            two_projection_magic_unitary(np.diag([1.0, 0.0]), line_projection(3, 4))
+        for a, b in ((0.6, 0.8), (0, 0)):
+            with pytest.raises(DomainError, match="line"):
+                line_projection(a, b)
+
+    def test_line_projection_is_exact(self):
+        assert line_projection(Fraction(1, 2), 1).tolist() == [
+            [Fraction(1, 5), Fraction(2, 5)], [Fraction(2, 5), Fraction(4, 5)]
+        ]
 
     def test_broken_blocks_reported(self):
-        u = MagicUnitary([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)]])
+        u = MagicUnitary([[1, 1], [0, 0]])
         assert u.violations()
 
     def test_scalar_numeric_block_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             MagicUnitary([[np.array(1.0)]])
 
-    def test_exact_violations_ignore_tol(self):
-        tiny = Fraction(1, 10**12)
-        u = MagicUnitary([[1, tiny], [0, 1]])
+    def test_violations_are_exact(self):
+        # 10^-12 off the identity fails, as no tolerance is applied
+        s = 10**12
+        u = MagicUnitary([[s, 1], [0, s]], scale=s)
         assert "block (1,2) is not a projection" in u.violations()
-        numeric = MagicUnitary([[np.array([[float(x)]]) for x in row] for row in u.blocks])
-        assert numeric.violations() == []
 
     def test_mixed_scalar_and_matrix_blocks_rejected(self):
         with pytest.raises(DimensionError):
@@ -164,6 +179,8 @@ class TestMagicUnitary:
             MagicUnitary([[1j]])
         with pytest.raises(DomainError):
             MagicUnitary([[1.0, 0], [0, 1]])
+        with pytest.raises(DomainError, match="scale"):
+            MagicUnitary([[1]], scale=0)
 
 
 class TestInvariance:
@@ -188,20 +205,53 @@ class TestInvariance:
     def test_free_functional_invariant_under_two_projection(self):
         spec = semicircular(4)
         mf = free_iid_functional(spec, 4, 4)
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
-        report = invariance_check(mf, u, max_degree=4)
-        assert report.max_deviation <= 1e-9
+        report = invariance_check(mf, two_projection(3, 4), max_degree=4)
+        assert report.max_deviation == 0
         assert report.passed
 
     def test_tensor_bernoulli_separates_classical_from_quantum(self):
         mf = tensor_iid_functional(bernoulli_moments(4), 4, 4)
         for u in all_permutation_magic_unitaries(4):
             assert invariance_check(mf, u, max_degree=4).max_deviation == 0
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
-        report = invariance_check(mf, u, max_degree=4)
-        assert report.max_deviation > 1e-3
+        report = invariance_check(mf, two_projection(3, 4), max_degree=4)
+        assert report.max_deviation > 0
         assert not report.passed
         assert report.witness is not None
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (4, 3), (5, 12), (1, 1)])
+    def test_tensor_bernoulli_deviation_has_a_closed_form(self, a, b):
+        # sin^2(2 theta) / 2 for the angle theta of the line through (a, b)
+        mf = tensor_iid_functional(bernoulli_moments(4), 4, 4)
+        report = invariance_check(mf, two_projection(a, b), max_degree=4)
+        assert report.max_deviation == Fraction(2 * a * a * b * b, (a * a + b * b) ** 2)
+        assert report.witness == (1, 3, 1, 3)
+
+    def test_free_functional_reads_one_moment_per_kernel(self, monkeypatch):
+        calls = []
+
+        def counted(spec, letters, labels):
+            calls.append(labels)
+            return free_iid_moment(spec, letters, labels)
+
+        monkeypatch.setattr(EXCHANGE, "free_iid_moment", counted)
+        spec = _rich_spec(4)
+        mf = free_iid_functional(spec, 4, 4)
+        kernels = {kernel(w) for w in mf.moments}
+        assert len(mf.moments) == 340 and len(calls) == len(kernels) == 23
+        for word, value in mf.moments.items():
+            assert value == free_iid_moment(spec, ("c",) * len(word), word)
+            assert isinstance(value, Fraction)
+
+    def test_int64_overflow_is_refused_up_front(self):
+        # s = 10^12 + 1: s^4 alone is far beyond 2^63
+        u = two_projection(1, 10**6)
+        assert u.violations() == []
+        mf = tensor_iid_functional(bernoulli_moments(4), 4, 4)
+        assert invariance_check(mf, u, max_degree=1).passed
+        with pytest.raises(BoundError, match=r"2\^63"):
+            invariance_check(mf, u, max_degree=4)
+        with pytest.raises(BoundError, match=r"2\^63"):
+            block_sum_identity(u, P("1,3|2,4"), (1, 3, 1, 3))
 
     def test_constant_sequence_invariant_for_all_unitaries(self):
         # all letters the same variable: value depends only on word length
@@ -214,8 +264,7 @@ class TestInvariance:
         mf = MomentFunctional(tuple(range(1, n + 1)), k_max, moments)
         for u in all_permutation_magic_unitaries(n):
             assert invariance_check(mf, u, max_degree=k_max).max_deviation == 0
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.1))
-        assert invariance_check(mf, u, max_degree=k_max).max_deviation <= 1e-9
+        assert invariance_check(mf, two_projection(5, 12), max_degree=k_max).max_deviation == 0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_raw_permutation_blocks_take_the_coaction_sum(self, n):
@@ -227,7 +276,7 @@ class TestInvariance:
         deviations = []
         for perm in rng.sample(list(itertools.permutations(range(1, n + 1))), 6):
             recorded = permutation_magic_unitary(perm)
-            raw = MagicUnitary(recorded.blocks)
+            raw = MagicUnitary(recorded.stack)
             assert recorded.permutation() == perm and raw.permutation() is None
             for degree in (1, 2, 3):
                 want = invariance_check(mf, recorded, max_degree=degree)
@@ -236,21 +285,6 @@ class TestInvariance:
                 deviations.append(want.max_deviation)
         assert max(deviations) > 0
 
-    def test_exact_check_ignores_tolerance(self):
-        mf = free_iid_functional(semicircular(2), 3, 2)
-        mf.moments[(1, 2)] += Fraction(1, 10)
-        report = invariance_check(mf, permutation_magic_unitary((2, 1, 3)), 2, tolerance=2)
-        assert report.max_deviation == Fraction(1, 10)
-        assert report.tolerance == 0 and not report.passed
-
-    def test_negative_tolerance_rejected(self):
-        # exact or numeric, a tolerance below 0 is refused before any word is read
-        mf = free_iid_functional(semicircular(2), 4, 2)
-        numeric = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(0.3))
-        for unitary in (permutation_magic_unitary((2, 1, 3, 4)), numeric):
-            with pytest.raises(DomainError, match="tolerance"):
-                invariance_check(mf, unitary, 2, tolerance=-1)
-
     def test_degree_above_kmax_rejected(self):
         mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
         with pytest.raises(BoundError):
@@ -258,10 +292,9 @@ class TestInvariance:
 
     @pytest.mark.parametrize("degree", [0, -1, 3])
     def test_degree_outside_one_to_kmax_rejected(self, degree):
-        # no word of length 1..degree to check: no verdict, exact or numeric
+        # no word of length 1..degree to check: no verdict, relabelled or summed
         mf = tensor_iid_functional(bernoulli_moments(2), 4, 2)
-        numeric = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(0.3))
-        for unitary in (permutation_magic_unitary((2, 1, 3, 4)), numeric):
+        for unitary in (permutation_magic_unitary((2, 1, 3, 4)), two_projection(3, 4)):
             with pytest.raises(BoundError, match="max_degree"):
                 invariance_check(mf, unitary, max_degree=degree)
 
@@ -331,8 +364,8 @@ class TestBlockSum:
         unitaries = [
             permutation_magic_unitary(tuple(rng.sample(range(1, 5), 4))),
             permutation_magic_unitary(tuple(rng.sample(range(1, 6), 5))),
-            two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA)),
-            two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.3)),
+            two_projection(3, 4),
+            two_projection(5, 12),
         ]
         for _ in range(60):
             u = rng.choice(unitaries)
@@ -346,13 +379,14 @@ class TestBlockSum:
         with pytest.raises(DimensionError):
             block_sum_identity(u, SetPartition.full(3), (1, 2))
 
-    def test_exact_comparison_ignores_tol(self):
-        half = MagicUnitary([[Fraction(1, 2)] * 2] * 2)
-        assert block_sum_identity(half, SetPartition.full(2), (1, 2)) == Fraction(1, 2)
-        assert not block_sum_matches_indicator(half, SetPartition.full(2), (1, 2), tol=1.0)
+    def test_comparison_is_exact(self):
+        half = MagicUnitary([[1, 1], [1, 1]], scale=2)
+        # 1/2, over s^k = 4
+        assert block_sum_identity(half, SetPartition.full(2), (1, 2)) == 2
+        assert not block_sum_matches_indicator(half, SetPartition.full(2), (1, 2))
 
     def test_two_projection_fails_only_at_crossing_partitions(self):
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
+        u = two_projection(3, 4)
         assert not block_sum_matches_indicator(u, P("1,3|2,4"), (1, 3, 1, 3))
         failures = [
             pi
@@ -378,15 +412,11 @@ class TestBlockSum:
 
 class TestCoactionSum:
     UNITARIES = [
-        MagicUnitary(permutation_magic_unitary((3, 1, 4, 2)).blocks),
-        MagicUnitary(permutation_magic_unitary((2, 5, 1, 3, 4)).blocks),
-        two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA)),
-        two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(1.3)),
+        MagicUnitary(permutation_magic_unitary((3, 1, 4, 2)).stack),
+        MagicUnitary(permutation_magic_unitary((2, 5, 1, 3, 4)).stack),
+        two_projection(3, 4),
+        two_projection(5, 12),
     ]
-
-    @staticmethod
-    def same_bits(u, got, want):
-        return got[0, 0] == want if u.exact else got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_the_depth_first_and_labelling_oracles(self, k):
@@ -395,42 +425,65 @@ class TestCoactionSum:
         for u in self.UNITARIES:
             labels = range(1, u.n + 1)
             words = list(itertools.product(labels, repeat=k))
-            values = {i_word: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for i_word in words}
-            table = np.array([u.scalar(values[i_word]) for i_word in words], dtype=u.stack.dtype)
-            sums = _coaction_sums(u, SetPartition.singletons(k), [labels] * k, table)
-            assert len(sums) == len(words)
+            values = {i_word: rng.randint(-9, 9) for i_word in words}
+            sums = _coaction_sums(u, SetPartition.singletons(k), [labels] * k, list(values.values()))
+            assert sums.dtype == np.int64 and len(sums) == len(words)
             for j_word, got in zip(words, sums):
-                want = word_sum_by_depth_first(values.__getitem__, u, j_word)
-                assert self.same_bits(u, got, want), j_word
+                want = word_sum_by_depth_first(values.__getitem__, u.stack, j_word)
+                assert got.tolist() == want.tolist(), j_word
             for pi in enumerate_partitions(k):
                 batch = _coaction_sums(u, pi, [labels] * k)
                 for j_word in rng.sample(words, min(4, len(words))):
                     got = batch[words.index(j_word)]
-                    single = block_sum_identity(u, pi, j_word)
-                    assert self.same_bits(u, got, single), (pi, j_word)
-                    want = block_sum_by_labelling(u, pi, j_word)
-                    if u.exact:
-                        assert single == want
-                    else:
-                        assert np.max(np.abs(single - want)) <= 1e-12
+                    assert got.tolist() == block_sum_by_labelling(u.stack, pi, j_word).tolist()
+                    assert got.tolist() == block_sum_identity(u, pi, j_word).tolist()
 
     @pytest.mark.parametrize("criterion", [8, 11])
     def test_invariance_check_equals_a_loop_over_the_oracle(self, criterion):
-        # criterion 11's witness is picked among 32 tied words by the last bits
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
+        u = two_projection(3, 4)
         if criterion == 8:
             mf = free_iid_functional(_rich_spec(4), 4, 4)
         else:
             mf = tensor_iid_functional(bernoulli_moments(4), 4, 4)
-        worst, witness = 0.0, None
+        worst, witness = 0, None
         for k in range(1, 5):
+            one = u.scale**k * np.eye(2, dtype=np.int64).astype(object)
             for j_word in itertools.product(range(1, 5), repeat=k):
-                lhs = word_sum_by_depth_first(mf.value, u, j_word)
-                dev = u.distance(lhs, u.scalar(mf.value(j_word)) * u.one)
+                lhs = word_sum_by_depth_first(mf.value, u.stack, j_word)
+                dev = max(map(abs, (lhs - mf.value(j_word) * one).flat)) / u.scale**k
                 if dev > worst:
                     worst, witness = dev, j_word
         report = invariance_check(mf, u, max_degree=4)
-        assert (repr(report.max_deviation), report.witness) == (repr(worst), witness)
+        assert (report.max_deviation, report.witness) == (worst, witness)
+
+    def test_float_route_at_an_irrational_angle(self):
+        # criterion 11's deviation at theta = pi/5, which no rational line
+        # reaches, in float64 through the depth-first oracle alone
+        theta = math.pi / 5
+        blocks = two_projection_blocks(theta)
+        mf = tensor_iid_functional(bernoulli_moments(4), 4, 4)
+        worst = max(
+            np.abs(word_sum_by_depth_first(mf.value, blocks, j) - float(mf.value(j)) * np.eye(2)).max()
+            for k in range(1, 5)
+            for j in itertools.product(range(1, 5), repeat=k)
+        )
+        assert abs(worst - math.sin(2 * theta) ** 2 / 2) <= 1e-12
+
+    def test_block_sums_fail_at_one_partition_only(self):
+        # every partition with k <= 4 and every word: the sums differ from the
+        # indicator at 1,3|2,4 alone, exactly on the line through (3, 4) and
+        # beyond 1e-12 in float64 at theta = pi/5
+        u, blocks = two_projection(3, 4), two_projection_blocks(math.pi / 5)
+        exact, floats = set(), set()
+        for k in range(1, 5):
+            for pi in enumerate_partitions(k):
+                for j_word in itertools.product(range(1, 5), repeat=k):
+                    if not block_sum_matches_indicator(u, pi, j_word):
+                        exact.add(pi)
+                    want = np.eye(2) * leq(pi, kernel(j_word))
+                    if np.abs(block_sum_by_labelling(blocks, pi, j_word) - want).max() > 1e-12:
+                        floats.add(pi)
+        assert exact == floats == {P("1,3|2,4")}
 
 
 class TestUrnMoments:
@@ -856,16 +909,12 @@ class TestUrnFunctionalQuantumExchangeability:
     def test_urn_passes_two_projection_invariance(self):
         model = UrnModel(4, [1, Fraction(1, 2), 0, 0])
         mf = urn_functional(model, 4)
-        u = two_projection_magic_unitary(np.diag([1.0, 0.0]), rotated_projection(THETA))
-        report = invariance_check(mf, u, max_degree=4)
-        assert report.max_deviation <= 1e-9
+        report = invariance_check(mf, two_projection(3, 4), max_degree=4)
+        assert report.max_deviation == 0
 
     def test_permutation_extraction(self):
         u = permutation_magic_unitary((3, 1, 2))
         assert u.permutation() == (3, 1, 2)
-        broken = MagicUnitary([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)]])
+        broken = MagicUnitary([[1, 1], [0, 0]])
         assert broken.permutation() is None
-        complex_u = two_projection_magic_unitary(
-            np.diag([1.0, 0.0]), rotated_projection(THETA)
-        )
-        assert complex_u.permutation() is None
+        assert two_projection(3, 4).permutation() is None

@@ -5,18 +5,9 @@ directory, so the input paths the reports echo stay relative.  The files
 CASE.stdout, CASE.stderr and CASE.exit hold what the command wrote and
 returned.  A deliberate change to a report edits its golden files in the same
 change; `PYTHONPATH=src python tests/test_golden.py` rewrites every one from the current
-tree, and the diff is then the report change to review.
-
-Float literals (a token with a decimal point or an exponent) are compared to
-a relative tolerance of 1e-9 plus an absolute one of 1e-12, every other byte
-exactly.  Some of them come from numpy products of 2 x 2 complex matrices
-(criterion 8's two-projection deviation 8.88e-16, criterion 11's 0.4523, the
-`magic invariance --theta` deviation), whose last bits may differ between
-platforms and BLAS builds.  The rest are exact rationals printed with four
-decimals, so the tolerance lets none of their printed digits change.
-Criterion 11's witness (1, 3, 2, 3) is not a float, yet it depends on last
-bits too: 32 words tie at sin^2(2 theta)/2, and one ulp makes it win over
-(1, 3, 1, 3), so the float tolerance does not cover it.
+tree, and the diff is then the report change to review.  Every byte is
+compared: no report prints a float from a matrix product, and the few
+decimals printed are exact rationals rounded to four places.
 
 Left out on purpose: `reproduce-all --n-range 4..5`.  It exits 2 because
 criterion 10's "second half <= first half" trend heuristic reads a two-point
@@ -24,7 +15,6 @@ sweep as growth, and a golden file would hold that known defect as the
 contract.
 """
 
-import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -35,8 +25,6 @@ from qperm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-THETA = "0.6283"
-
 CASES = {
     "reproduce-all": ["reproduce-all"],
     "reproduce-all-seed-7": ["reproduce-all", "--seed", "7"],
@@ -44,8 +32,8 @@ CASES = {
     "reproduce-all-k3-n12-csv": [
         "reproduce-all", "--k-max", "3", "--n-range", "4..12", "--seed", "3", "--csv",
     ],
-    "reproduce-all-k5-n9-tol": [
-        "reproduce-all", "--k-max", "5", "--n-range", "4..9", "--tol", "1e-6", "--seed", "11",
+    "reproduce-all-k5-n9": [
+        "reproduce-all", "--k-max", "5", "--n-range", "4..9", "--seed", "11",
     ],
     "urn-quantum": ["urn", "quantum", "--n", "5", "--lam", "1,1/2,0,0,-1", "--j", "1,2,1,3"],
     "urn-classical": ["urn", "classical", "--n", "5", "--lam", "1,1/2,0,0,-1", "--j", "1,2,1,3"],
@@ -70,18 +58,15 @@ CASES = {
     "cumulants-check-free": [
         "cumulants", "check-free", "--moments", "tensor.json", "--families", "a=1,b=2",
     ],
-    "magic-validate-theta": ["magic", "validate", "--theta", THETA],
+    "magic-validate-line": ["magic", "validate", "--line", "3,4"],
     "magic-validate-perm": ["magic", "validate", "--perm", "2,1,3"],
-    "magic-invariance-theta": [
-        "magic", "invariance", "--theta", THETA, "--moments", "labels.json", "--degree", "4",
+    "magic-invariance-line": [
+        "magic", "invariance", "--line", "3,4", "--moments", "labels.json", "--degree", "4",
     ],
     "magic-invariance-perm": [
         "magic", "invariance", "--perm", "2,1,4,3", "--moments", "labels.json", "--degree", "4",
     ],
 }
-
-FLOAT = re.compile(r"(-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+)")
-
 
 def run_case(argv):
     """(stdout, stderr, exit code) of `qperm argv`, in the current directory."""
@@ -91,23 +76,13 @@ def run_case(argv):
     return out.getvalue(), err.getvalue(), f"{code}\n"
 
 
-def assert_same_report(got, want):
-    got_parts, want_parts = FLOAT.split(got), FLOAT.split(want)
-    assert len(got_parts) == len(want_parts), got
-    for i, (a, b) in enumerate(zip(got_parts, want_parts)):
-        if i % 2:
-            assert float(a) == pytest.approx(float(b), rel=1e-9, abs=1e-12), (a, b)
-        else:
-            assert a == b
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     stdout, stderr, code = run_case(CASES[case])
     assert code == (GOLDEN / f"{case}.exit").read_text()
     assert stderr == (GOLDEN / f"{case}.stderr").read_text()
-    assert_same_report(stdout, (GOLDEN / f"{case}.stdout").read_text())
+    assert stdout == (GOLDEN / f"{case}.stdout").read_text()
 
 
 def test_every_golden_file_has_a_case():

@@ -2,6 +2,7 @@
 public entries and the records of its table builds."""
 
 import importlib
+import itertools
 import logging
 import os
 import re
@@ -24,12 +25,17 @@ from qperm import (
     dk_value,
     enumerate_nc,
     enumerate_partitions,
+    freeness_check,
     gram,
     haar_moment,
+    invariance_check,
+    permutation_deviation,
+    two_projection_magic_unitary,
     weingarten,
     weingarten_asymptotics,
 )
 from qperm.errors import DomainError
+from qperm.exchange import line_projection
 from qperm.weingarten import check_inverse
 
 PARTITIONS = importlib.import_module("qperm.partitions")
@@ -86,6 +92,12 @@ def clear_memos():
 
 SEMICIRCLE = CumulantSpec(("c",), 4, {("c", "c"): Fraction(1)})
 ZERO2, ONE2 = SetPartition.singletons(2), SetPartition.full(2)
+# independent symmetric coins on the labels 1..4, to length 2
+LABELS = MomentFunctional((1, 2, 3, 4), 2, {
+    **{(i,): 0 for i in range(1, 5)},
+    **{(i, j): int(i == j) for i, j in itertools.product(range(1, 5), repeat=2)},
+})
+LINE = two_projection_magic_unitary(np.diag([1, 0]), line_projection(3, 4))
 
 # (entry and size, the size as an int, the call with that size)
 SIZED_CALLS = [
@@ -108,6 +120,10 @@ SIZED_CALLS = [
     ("SetPartition.singletons k", 3, SetPartition.singletons),
     ("MomentFunctional k_max", 2, lambda s: MomentFunctional(("a",), s, {("a",): Fraction(1)})),
     ("CumulantSpec k_max", 2, lambda s: CumulantSpec(("c",), s, {("c", "c"): Fraction(1)})),
+    ("invariance_check max_degree", 2, lambda s: invariance_check(LABELS, LINE, s)),
+    ("permutation_deviation max_degree", 2, lambda s: permutation_deviation(LABELS, s)),
+    ("freeness_check max_degree", 2,
+     lambda s: freeness_check(LABELS, {1: 1, 2: 1, 3: 2, 4: 2}, max_degree=s)),
 ]
 
 
